@@ -9,7 +9,7 @@
 
 use crate::fxhash::FxHashMap;
 use mspastry::{Category, LookupId};
-use netsim::EndpointId;
+use std::collections::VecDeque;
 
 /// Number of message categories tracked.
 pub const N_CATEGORIES: usize = 6;
@@ -44,10 +44,14 @@ struct Window {
     node_us: f64,
 }
 
+/// A lookup in the ledger: pending until its first delivery, then kept for
+/// the duplicate window (`lookup_timeout_us`) so later copies count as
+/// duplicates.
 #[derive(Debug, Clone, Copy)]
-struct PendingLookup {
+struct LedgerEntry {
     issued_at_us: u64,
     tracked: bool,
+    delivered: bool,
 }
 
 /// Collects all run metrics.
@@ -59,8 +63,10 @@ pub struct Metrics {
     windows: Vec<Window>,
     active_now: usize,
     last_active_us: u64,
-    pending: FxHashMap<LookupId, PendingLookup>,
-    delivered_ids: FxHashMap<LookupId, ()>,
+    ledger: FxHashMap<LookupId, LedgerEntry>,
+    /// Delivered ledger entries in delivery order, each with the time after
+    /// which it is evicted.
+    expiry: VecDeque<(u64, LookupId)>,
     issued: u64,
     delivered: u64,
     incorrect: u64,
@@ -90,8 +96,8 @@ impl Metrics {
             windows: Vec::new(),
             active_now: 0,
             last_active_us: measure_start_us,
-            pending: FxHashMap::default(),
-            delivered_ids: FxHashMap::default(),
+            ledger: FxHashMap::default(),
+            expiry: VecDeque::new(),
             issued: 0,
             delivered: 0,
             incorrect: 0,
@@ -163,24 +169,37 @@ impl Metrics {
 
     /// Records the first sighting of a lookup (issue or first transmission).
     pub fn sight_lookup(&mut self, id: LookupId, issued_at_us: u64) {
-        if self.delivered_ids.contains_key(&id) || self.pending.contains_key(&id) {
+        if self.ledger.contains_key(&id) {
             return;
         }
         let tracked = issued_at_us >= self.measure_start_us;
         if tracked {
             self.issued += 1;
         }
-        self.pending.insert(
+        self.ledger.insert(
             id,
-            PendingLookup {
+            LedgerEntry {
                 issued_at_us,
                 tracked,
+                delivered: false,
             },
         );
     }
 
+    /// Drops delivered lookups whose duplicate window closed before `now_us`.
+    fn evict_delivered(&mut self, now_us: u64) {
+        while let Some(&(evict_after_us, id)) = self.expiry.front() {
+            if evict_after_us >= now_us {
+                break;
+            }
+            self.expiry.pop_front();
+            self.ledger.remove(&id);
+        }
+    }
+
     /// Records a delivery. `direct_delay_us == 0` (self-delivery) skips the
-    /// RDP sample.
+    /// RDP sample. A copy delivered within `lookup_timeout_us` of the first
+    /// delivery counts as a duplicate.
     pub fn on_delivered(
         &mut self,
         now_us: u64,
@@ -190,12 +209,17 @@ impl Metrics {
         hops: u32,
         direct_delay_us: u64,
     ) {
+        self.evict_delivered(now_us);
         self.sight_lookup(id, issued_at_us);
-        let Some(p) = self.pending.remove(&id) else {
+        let entry = self.ledger.get_mut(&id).expect("sighted above");
+        if entry.delivered {
             self.duplicates += 1;
             return;
-        };
-        self.delivered_ids.insert(id, ());
+        }
+        entry.delivered = true;
+        let p = *entry;
+        self.expiry
+            .push_back((now_us.saturating_add(self.lookup_timeout_us), id));
         if !p.tracked {
             return;
         }
@@ -233,8 +257,8 @@ impl Metrics {
     /// Closes the run at `end_us` and produces the report.
     pub fn finalize(mut self, end_us: u64) -> Report {
         self.integrate_active(end_us);
-        for p in self.pending.values() {
-            if !p.tracked {
+        for p in self.ledger.values() {
+            if p.delivered || !p.tracked {
                 continue;
             }
             if p.issued_at_us + self.lookup_timeout_us <= end_us {
@@ -414,35 +438,6 @@ impl Report {
     }
 }
 
-/// Tracks which endpoint issued each lookup so RDP can use the true
-/// source-destination network delay.
-#[derive(Debug, Default)]
-pub struct LookupSources {
-    map: FxHashMap<LookupId, EndpointId>,
-}
-
-impl LookupSources {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the issuing endpoint.
-    pub fn insert(&mut self, id: LookupId, src: EndpointId) {
-        self.map.entry(id).or_insert(src);
-    }
-
-    /// Looks up the issuing endpoint.
-    pub fn get(&self, id: LookupId) -> Option<EndpointId> {
-        self.map.get(&id).copied()
-    }
-
-    /// Removes a completed lookup.
-    pub fn remove(&mut self, id: LookupId) {
-        self.map.remove(&id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +515,62 @@ mod tests {
         let r = m.finalize(1_000_000);
         assert_eq!(r.delivered, 1);
         assert_eq!(r.duplicates, 1);
+    }
+
+    /// Drives a steady stream: one lookup every `gap_us`, delivered 300 ms
+    /// after issue, every fourth one delivered again 500 ms later. Returns
+    /// the largest ledger size seen and the report.
+    fn steady_stream(duration_us: u64, gap_us: u64, timeout_us: u64) -> (usize, Report) {
+        let mut m = Metrics::new(0, 1_000_000, timeout_us);
+        let mut max_len = 0;
+        let mut seq = 0;
+        let mut t = 0;
+        while t + 800_000 < duration_us {
+            m.sight_lookup(lid(seq), t);
+            m.on_delivered(t + 300_000, lid(seq), t, true, 2, 1000);
+            if seq % 4 == 0 {
+                m.on_delivered(t + 800_000, lid(seq), t, true, 3, 1000);
+            }
+            max_len = max_len.max(m.ledger.len());
+            seq += 1;
+            t += gap_us;
+        }
+        (max_len, m.finalize(duration_us))
+    }
+
+    #[test]
+    fn ledger_size_follows_the_window_not_the_run_length() {
+        let timeout_us = 60_000_000;
+        let gap_us = 100_000; // 10 lookups/s
+        let bound = (timeout_us / gap_us) as usize + 16;
+        for duration_us in [timeout_us, 2 * timeout_us, 10 * timeout_us] {
+            let (max_len, r) = steady_stream(duration_us, gap_us, timeout_us);
+            assert!(
+                max_len <= bound,
+                "ledger held {max_len} > {bound} over {duration_us} us"
+            );
+            assert_eq!(r.delivered, r.issued);
+            assert_eq!(r.lost + r.censored, 0);
+            assert_eq!(r.duplicates, r.issued.div_ceil(4));
+        }
+    }
+
+    #[test]
+    fn duplicates_count_inside_the_window_only() {
+        let mut m = Metrics::new(0, 1_000_000, 10_000_000);
+        m.sight_lookup(lid(1), 0);
+        m.on_delivered(1_000, lid(1), 0, true, 1, 50);
+        // A retransmitted copy is sighted and delivered late but inside the
+        // window: still a duplicate, and not re-counted as issued.
+        m.sight_lookup(lid(1), 0);
+        m.on_delivered(10_001_000, lid(1), 0, true, 1, 50);
+        assert_eq!(m.ledger.len(), 1);
+        // Another delivery after the window closes evicts the entry.
+        m.sight_lookup(lid(2), 10_000_000);
+        m.on_delivered(10_002_000, lid(2), 10_000_000, true, 1, 50);
+        assert!(!m.ledger.contains_key(&lid(1)));
+        let r = m.finalize(20_000_000);
+        assert_eq!((r.issued, r.delivered, r.duplicates), (2, 2, 1));
     }
 
     #[test]

@@ -286,7 +286,6 @@ struct World {
     /// Join start time per endpoint (`NO_JOIN` once activated), indexed by
     /// endpoint id.
     join_started: Vec<u64>,
-    src_ep: FxHashMap<LookupId, EndpointId>,
     scripted: Vec<ScriptedLookup>,
     skipped_scripted: u64,
     deliveries: Vec<DeliveryRecord>,
@@ -430,7 +429,6 @@ impl Runner {
                 active_list: Vec::new(),
                 active_pos: Vec::new(),
                 join_started: Vec::new(),
-                src_ep: FxHashMap::default(),
                 scripted,
                 skipped_scripted: 0,
                 deliveries: Vec::new(),
@@ -792,11 +790,12 @@ impl World {
     fn apply_deliver(&mut self, now: u64, ep: EndpointId, d: Delivery) {
         let deliverer = self.node_ids[ep];
         let correct = self.oracle.root_of(d.key) == Some(deliverer);
-        let direct = match self.src_ep.get(&d.id) {
+        // Identifiers are never removed from `ep_of_id`, so the issuer's
+        // endpoint is known for every lookup.
+        let direct = match self.ep_of_id.get(&d.id.src.0) {
             Some(&src) if src != ep => self.net.base_delay_us(src, ep),
             _ => 0,
         };
-        self.metrics.sight_lookup(d.id, d.issued_at_us);
         self.metrics
             .on_delivered(now, d.id, d.issued_at_us, correct, d.hops, direct);
         if d.issued_at_us >= self.cfg.warmup_us {
@@ -857,9 +856,6 @@ impl World {
         } = &msg
         {
             self.metrics.sight_lookup(*id, *issued_at_us);
-            if let Some(&src) = self.ep_of_id.get(&id.src.0) {
-                self.src_ep.entry(*id).or_insert(src);
-            }
         }
         let Some(&dst) = self.ep_of_id.get(&to.0) else {
             return; // message to a node that never existed (cannot happen)

@@ -6,6 +6,11 @@
 //! selection (PNS) fills each slot with the *closest* qualifying node in the
 //! underlying network; an entry is replaced when a closer candidate with a
 //! measured distance shows up.
+//!
+//! Rows are allocated on demand: an overlay of N nodes fills only about
+//! `log_{2^b} N` rows, so the table holds storage up to the deepest occupied
+//! row only, and a row's slots are allocated when the first of them is
+//! filled.
 
 use crate::id::{Id, NodeId};
 
@@ -44,19 +49,20 @@ pub struct RoutingTable {
     own: NodeId,
     b: u8,
     cols: usize,
+    /// Rows up to the deepest occupied one; the last row is never empty. A
+    /// row that was never filled is an empty (unallocated) `Vec`, otherwise
+    /// it has `cols` slots.
     rows: Vec<Vec<Option<RtEntry>>>,
 }
 
 impl RoutingTable {
     /// Creates an empty table for the given local node.
     pub fn new(own: NodeId, b: u8) -> Self {
-        let n_rows = Id::rows(b);
-        let cols = 1usize << b;
         RoutingTable {
             own,
             b,
-            cols,
-            rows: vec![vec![None; cols]; n_rows],
+            cols: 1usize << b,
+            rows: Vec::new(),
         }
     }
 
@@ -65,9 +71,9 @@ impl RoutingTable {
         self.own
     }
 
-    /// Number of rows.
+    /// Number of rows (`ceil(128/b)`, whether allocated or not).
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        Id::rows(self.b)
     }
 
     /// Number of columns (2^b).
@@ -88,7 +94,9 @@ impl RoutingTable {
 
     /// The entry at `(row, col)`, if any.
     pub fn get(&self, row: usize, col: u8) -> Option<RtEntry> {
-        self.rows.get(row).and_then(|r| r[col as usize])
+        self.rows
+            .get(row)
+            .and_then(|r| r.get(col as usize).copied().flatten())
     }
 
     /// The entry holding `id`, if present.
@@ -111,7 +119,14 @@ impl RoutingTable {
         let Some((row, col)) = self.slot_of(id) else {
             return InsertOutcome::SelfId;
         };
-        let slot = &mut self.rows[row][col as usize];
+        if self.rows.len() <= row {
+            self.rows.resize_with(row + 1, Vec::new);
+        }
+        let cells = &mut self.rows[row];
+        if cells.is_empty() {
+            cells.resize(self.cols, None);
+        }
+        let slot = &mut cells[col as usize];
         match slot {
             None => {
                 *slot = Some(RtEntry { id, distance_us });
@@ -136,16 +151,27 @@ impl RoutingTable {
         }
     }
 
-    /// Removes `id` from the table; returns `true` if it was present.
+    /// Removes `id` from the table; returns `true` if it was present. Rows
+    /// left empty at the end of the table are released.
     pub fn remove(&mut self, id: NodeId) -> bool {
-        if let Some((row, col)) = self.slot_of(id) {
-            let slot = &mut self.rows[row][col as usize];
-            if slot.map(|e| e.id) == Some(id) {
-                *slot = None;
-                return true;
-            }
+        let Some((row, col)) = self.slot_of(id) else {
+            return false;
+        };
+        let Some(slot) = self.rows.get_mut(row).and_then(|r| r.get_mut(col as usize)) else {
+            return false;
+        };
+        if slot.map(|e| e.id) != Some(id) {
+            return false;
         }
-        false
+        *slot = None;
+        while self
+            .rows
+            .last()
+            .is_some_and(|r| r.iter().all(Option::is_none))
+        {
+            self.rows.pop();
+        }
+        true
     }
 
     /// Iterates over all entries.
@@ -196,6 +222,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -309,5 +336,114 @@ mod tests {
             (2..=6).contains(&occ),
             "occupied rows {occ} for N=1000, b=4"
         );
+    }
+
+    /// The dense table the on-demand one must behave like: every row
+    /// allocated, same PNS rules.
+    struct Dense {
+        rows: Vec<Vec<Option<RtEntry>>>,
+    }
+
+    impl Dense {
+        fn offer(&mut self, rt: &RoutingTable, id: NodeId, distance_us: u64) {
+            let Some((row, col)) = rt.slot_of(id) else {
+                return;
+            };
+            let slot = &mut self.rows[row][col as usize];
+            match slot {
+                None => *slot = Some(RtEntry { id, distance_us }),
+                Some(e) if e.id == id => {
+                    if distance_us != DIST_UNKNOWN {
+                        e.distance_us = distance_us;
+                    }
+                }
+                Some(e) if distance_us < e.distance_us => *slot = Some(RtEntry { id, distance_us }),
+                Some(_) => {}
+            }
+        }
+
+        fn remove(&mut self, rt: &RoutingTable, id: NodeId) {
+            if let Some((row, col)) = rt.slot_of(id) {
+                let slot = &mut self.rows[row][col as usize];
+                if slot.map(|e| e.id) == Some(id) {
+                    *slot = None;
+                }
+            }
+        }
+    }
+
+    /// An id sharing at least the first `depth` digits with `own`, so
+    /// offers reach deep rows (`own` itself once `depth` covers the id).
+    fn id_at_depth(own: NodeId, b: u8, depth: usize, noise: u128) -> NodeId {
+        let keep = (depth * b as usize).min(128) as u32;
+        let low_mask = u128::MAX.checked_shr(keep).unwrap_or(0);
+        Id((own.0 & !low_mask) | (noise & low_mask))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn on_demand_rows_match_a_dense_table(
+            own in any::<u128>(),
+            b in prop::sample::select(vec![1u8, 2, 4]),
+            pool in prop::collection::vec((0usize..40, any::<u128>()), 1..24),
+            ops in prop::collection::vec(
+                (0u8..3, 0usize..24, prop::sample::select(vec![DIST_UNKNOWN, 0, 5, 50, 500])),
+                0..200,
+            ),
+        ) {
+            let own = Id(own);
+            let ids: Vec<NodeId> = pool
+                .iter()
+                .map(|&(depth, noise)| id_at_depth(own, b, depth, noise))
+                .collect();
+            let mut rt = RoutingTable::new(own, b);
+            let cols = 1usize << b;
+            let mut dense = Dense { rows: vec![vec![None; cols]; Id::rows(b)] };
+            for (op, idx, dist) in ops {
+                let id = ids[idx % ids.len()];
+                if op == 0 {
+                    dense.remove(&rt, id);
+                    rt.remove(id);
+                } else {
+                    let probe = ids[(idx + 1) % ids.len()];
+                    prop_assert_eq!(
+                        rt.would_accept(probe, dist),
+                        match rt.slot_of(probe) {
+                            None => false,
+                            Some((r, c)) => match dense.rows[r][c as usize] {
+                                None => true,
+                                Some(e) => e.id != probe && dist < e.distance_us,
+                            },
+                        }
+                    );
+                    dense.offer(&rt, id, dist);
+                    rt.offer(id, dist);
+                }
+
+                let expected: Vec<RtEntry> = dense.rows.iter().flatten().flatten().copied().collect();
+                prop_assert_eq!(rt.entries().collect::<Vec<_>>(), expected.clone());
+                prop_assert_eq!(rt.len(), expected.len());
+                prop_assert_eq!(rt.is_empty(), expected.is_empty());
+                prop_assert_eq!(rt.row_count(), Id::rows(b));
+                let occupied: Vec<usize> = (0..dense.rows.len())
+                    .filter(|&r| dense.rows[r].iter().any(Option::is_some))
+                    .collect();
+                prop_assert_eq!(rt.occupied_rows(), occupied.clone());
+                for (r, row) in dense.rows.iter().enumerate() {
+                    let ids: Vec<NodeId> = row.iter().flatten().map(|e| e.id).collect();
+                    prop_assert_eq!(rt.row_ids(r), ids);
+                    for (c, &e) in row.iter().enumerate() {
+                        prop_assert_eq!(rt.get(r, c as u8), e);
+                    }
+                }
+                // Storage never extends past the deepest occupied row.
+                let limit = occupied.last().map_or(0, |&r| r + 1);
+                prop_assert_eq!(rt.rows.len(), limit);
+                prop_assert!(rt.rows.iter().filter(|r| !r.is_empty()).count() <= limit);
+                prop_assert!(rt.rows.iter().all(|r| r.is_empty() || r.len() == cols));
+            }
+        }
     }
 }

@@ -48,7 +48,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,11 +107,13 @@ impl UdpNode {
     /// Binds a UDP socket and spawns the node's event loop, telemetry off.
     ///
     /// `seed` is an existing overlay node (identifier + address); `None`
-    /// bootstraps a new overlay.
+    /// bootstraps a new overlay. Returns once the loop has stepped the join,
+    /// so a node spawned without a seed is already active.
     ///
     /// # Errors
     ///
-    /// Returns any socket bind/configuration error.
+    /// Returns any socket bind/configuration error, or an error if the event
+    /// loop does not step the join within 10 s.
     pub fn spawn<A: ToSocketAddrs>(
         id: NodeId,
         cfg: Config,
@@ -130,7 +132,8 @@ impl UdpNode {
     ///
     /// # Errors
     ///
-    /// Returns any socket or metrics-listener bind error.
+    /// Returns any socket or metrics-listener bind error, or an error if the
+    /// event loop does not step the join within 10 s.
     pub fn spawn_with<A: ToSocketAddrs>(
         id: NodeId,
         cfg: Config,
@@ -152,6 +155,7 @@ impl UdpNode {
         };
         let telemetry_on = telemetry.enabled();
         let stat_interval = telemetry.stat_interval;
+        let (joined_tx, joined_rx) = sync_channel(1);
         let thread = std::thread::Builder::new()
             .name(format!("mspastry-{id}"))
             .spawn(move || {
@@ -165,7 +169,7 @@ impl UdpNode {
                     obs::Obs::disabled()
                 };
                 let telem = telemetry_on.then(|| Telem::new(shared, stat_interval));
-                EventLoop {
+                let mut event_loop = EventLoop {
                     driver: Driver::new(Node::with_obs(id, cfg, obs.clone())),
                     clock: WallClock::new(),
                     cmd_rx,
@@ -186,10 +190,12 @@ impl UdpNode {
                         c_decode_errors: obs.counter("udp.decode_errors"),
                         obs,
                     },
-                }
-                .run(seed)
+                };
+                event_loop.join(seed);
+                let _ = joined_tx.send(());
+                event_loop.run()
             })?;
-        Ok(UdpNode {
+        let node = UdpNode {
             id,
             local_addr,
             cmd_tx,
@@ -197,7 +203,13 @@ impl UdpNode {
             active,
             metrics: metrics_server,
             thread: Some(thread),
-        })
+        };
+        // Return once the loop has stepped the initial join, so a seedless
+        // node is already active when its handle exists.
+        match joined_rx.recv_timeout(JOIN_STEP_TIMEOUT) {
+            Ok(()) => Ok(node),
+            Err(_) => Err(io::Error::other("node event loop did not step its join")),
+        }
     }
 
     /// The bound `/metrics` listener address (`None` when telemetry is off);
@@ -333,6 +345,10 @@ impl Host for UdpHost<'_> {
     fn lookup_dropped(&mut self, _id: LookupId, _reason: DropReason) {}
 }
 
+/// How long [`UdpNode::spawn_with`] waits for the loop thread to step the
+/// initial join.
+const JOIN_STEP_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// How often the event loop refreshes the exporter's published slot.
 const PUBLISH_PERIOD: Duration = Duration::from_millis(250);
 
@@ -381,14 +397,18 @@ impl EventLoop {
         self.driver.step(now, event, &mut host);
     }
 
-    fn run(mut self, seed: Option<(NodeId, SocketAddr)>) {
+    /// Steps the initial join: a node without a seed bootstraps a new
+    /// overlay and is active afterwards.
+    fn join(&mut self, seed: Option<(NodeId, SocketAddr)>) {
         if let Some((seed_id, seed_addr)) = seed {
             self.io.addrs.insert(seed_id.0, seed_addr);
         }
         self.step(Event::Join {
             seed: seed.map(|(id, _)| id),
         });
+    }
 
+    fn run(mut self) {
         loop {
             // Local commands.
             loop {
