@@ -84,12 +84,14 @@ fn main() {
         return;
     }
     if let Some(name) = get("--scenario") {
+        check_flags(&args, "Scenario mode");
         run_scenario(&name, &args);
         return;
     }
     if flag("--seeds") || flag("--jobs") || flag("--progress") {
         die("--seeds/--jobs/--progress only apply to scenario sweeps; add --scenario NAME");
     }
+    check_flags(&args, "Ad-hoc mode");
 
     let hours = parse_or("--hours", 2.0);
     let duration_us = (hours * 3600e6) as u64;
@@ -382,19 +384,36 @@ fn run_scenario(name: &str, args: &[String]) {
     }
 }
 
+/// The help text: the doc comment at the top of this file.
+fn help_lines() -> impl Iterator<Item = &'static str> {
+    include_str!("mspastry-sim.rs")
+        .lines()
+        .skip(4)
+        .map_while(|line| line.strip_prefix("//! ").or((line == "//!").then_some("")))
+        .filter(|t| !t.starts_with("```"))
+}
+
 fn print_help() {
-    // The doc comment at the top of this file is the help text.
-    let src = include_str!("mspastry-sim.rs");
-    for line in src.lines().skip(4) {
-        if let Some(t) = line.strip_prefix("//! ") {
-            if !t.starts_with("```") {
-                println!("{t}");
-            }
-        } else if line == "//!" {
-            println!();
-        } else {
-            break;
-        }
+    for t in help_lines() {
+        println!("{t}");
+    }
+}
+
+/// Exits with an error on any `--` token that the help text's section
+/// starting with `mode` does not list.
+fn check_flags(args: &[String], mode: &str) {
+    let accepted: Vec<&str> = help_lines()
+        .skip_while(|t| !t.starts_with(mode))
+        .skip(1)
+        .take_while(|t| !t.is_empty())
+        .filter_map(|t| t.split_whitespace().next())
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+    {
+        die(&format!("unknown flag: {bad}"));
     }
 }
 

@@ -9,6 +9,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use crate::transit_stub::{StubDomain, TransitStub};
 
 /// Index of a router within a [`Graph`].
 pub type RouterId = u32;
@@ -93,25 +97,47 @@ impl Graph {
     ///
     /// Unreachable routers get `u64::MAX`.
     pub fn shortest_delays_from(&self, src: RouterId) -> Vec<u64> {
-        let n = self.adj.len();
+        self.shortest_delays_within(src, 0..self.adj.len() as RouterId)
+    }
+
+    /// [`Graph::shortest_delays_from`] restricted to the routers in `range`:
+    /// edges leaving the range are ignored. Entry `i` of the result is the
+    /// delay to router `range.start + i`.
+    ///
+    /// Ties between equal routing weights break by router id, so when every
+    /// path that leaves `range` can only come back through the edge it left
+    /// by, the restricted search selects the same paths as the full one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not in `range`.
+    pub(crate) fn shortest_delays_within(&self, src: RouterId, range: Range<RouterId>) -> Vec<u64> {
+        assert!(range.contains(&src), "source {src} outside {range:?}");
+        let lo = range.start;
+        let n = range.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut delay = vec![u64::MAX; n];
         // Heap keyed on routing weight; f64 is not Ord so store total ordering
         // through bit conversion (all values are non-negative finite).
         let mut heap: BinaryHeap<Reverse<(u64, RouterId)>> = BinaryHeap::new();
-        dist[src as usize] = 0.0;
-        delay[src as usize] = 0;
+        dist[(src - lo) as usize] = 0.0;
+        delay[(src - lo) as usize] = 0;
         heap.push(Reverse((0, src)));
         while let Some(Reverse((dbits, u))) = heap.pop() {
             let d = f64::from_bits(dbits);
-            if d > dist[u as usize] {
+            let ui = (u - lo) as usize;
+            if d > dist[ui] {
                 continue;
             }
             for e in &self.adj[u as usize] {
+                if !range.contains(&e.to) {
+                    continue;
+                }
+                let vi = (e.to - lo) as usize;
                 let nd = d + e.routing_weight;
-                if nd < dist[e.to as usize] {
-                    dist[e.to as usize] = nd;
-                    delay[e.to as usize] = delay[u as usize].saturating_add(e.delay_us);
+                if nd < dist[vi] {
+                    dist[vi] = nd;
+                    delay[vi] = delay[ui].saturating_add(e.delay_us);
                     heap.push(Reverse((nd.to_bits(), e.to)));
                 }
             }
@@ -123,7 +149,17 @@ impl Graph {
     fn delay_row(&self, src: RouterId) -> Box<[u32]> {
         self.shortest_delays_from(src)
             .into_iter()
-            .map(|d| d.min(u32::MAX as u64) as u32)
+            .map(clamp_u32)
+            .collect()
+    }
+
+    /// The `k × k` delay table of the routers in `range` (`k` its length),
+    /// row-major by source, from searches restricted to `range`.
+    fn delay_table_within(&self, range: Range<RouterId>) -> Box<[u32]> {
+        range
+            .clone()
+            .flat_map(|src| self.shortest_delays_within(src, range.clone()))
+            .map(clamp_u32)
             .collect()
     }
 
@@ -167,26 +203,122 @@ impl Graph {
     }
 }
 
+/// Saturates a path delay to the `u32` the delay tables store.
+fn clamp_u32(d: u64) -> u32 {
+    d.min(u32::MAX as u64) as u32
+}
+
 /// Backing storage of a [`DelayMatrix`].
 #[derive(Debug, Clone)]
 enum Table {
     /// Fully materialised `n*n` row-major matrix.
     Dense(Vec<u32>),
-    /// Rows computed on first use. The paper-scale GATech topology has 5050
-    /// routers — a dense matrix is ~100 MB and ~5000 Dijkstra passes — while
-    /// a run only ever asks about the routers its overlay nodes attach to,
-    /// so the lazy form stores the graph and fills rows on demand.
+    /// Rows computed on first use. A large graph's dense matrix is tens of
+    /// megabytes and thousands of Dijkstra passes, while a run only ever
+    /// asks about the routers its overlay nodes attach to, so the lazy form
+    /// stores the graph and fills rows on demand.
     Lazy {
         graph: Graph,
-        rows: Vec<std::sync::OnceLock<Box<[u32]>>>,
+        rows: Vec<OnceLock<Box<[u32]>>>,
     },
+    /// A transit-stub graph's delays composed from small tables.
+    Composed(Box<Composed>),
+}
+
+/// Delays of a transit-stub graph as a composition: one table per stub
+/// domain plus one core matrix over the transit routers, each filled on
+/// first use.
+///
+/// Within a stub the delay is the stub's table entry. Otherwise it is
+/// `up(a) + core[tr(a)][tr(b)] + down(b)`, where `up(a)` climbs from `a` to
+/// its gateway and over the core link to its transit router `tr(a)`, and
+/// `down(b)` is the same descent to `b`; a transit router is its own
+/// `tr` and contributes 0. Each stub has exactly one core link, so a full
+/// shortest-path search from any source settles each part's routers in the
+/// same (distance, id) order as a search restricted to that part, offset by
+/// a constant: the composition is exact, not an approximation. (Routing
+/// weights are small integers, so the f64 distances are exact.)
+#[derive(Debug, Clone)]
+struct Composed {
+    graph: Graph,
+    transit_routers: u32,
+    stubs: Vec<StubDomain>,
+    /// Stub index of every router from `transit_routers` on.
+    stub_of: Vec<u32>,
+    /// Per stub, its `len × len` table, row-major by source.
+    stub_tables: Vec<OnceLock<Box<[u32]>>>,
+    /// The `T × T` table of the transit routers.
+    core: OnceLock<Box<[u32]>>,
+}
+
+impl Composed {
+    /// Entry `(a, b)` of stub `s`'s table.
+    fn intra(&self, s: usize, a: RouterId, b: RouterId) -> u64 {
+        let stub = &self.stubs[s];
+        let table =
+            self.stub_tables[s].get_or_init(|| self.graph.delay_table_within(stub.routers()));
+        table[((a - stub.first) * stub.len + (b - stub.first)) as usize] as u64
+    }
+
+    /// The stub index of router `r`, or `None` for a transit router.
+    fn stub_index(&self, r: RouterId) -> Option<usize> {
+        r.checked_sub(self.transit_routers)
+            .map(|i| self.stub_of[i as usize] as usize)
+    }
+
+    fn delay_us(&self, a: RouterId, b: RouterId) -> u64 {
+        let (sa, sb) = (self.stub_index(a), self.stub_index(b));
+        if let (Some(x), Some(y)) = (sa, sb) {
+            if x == y {
+                return self.intra(x, a, b);
+            }
+        }
+        let (ta, up) = match sa {
+            None => (a, 0),
+            Some(x) => {
+                let s = &self.stubs[x];
+                let up = self.intra(x, a, s.gateway).saturating_add(s.link_delay_us);
+                (s.transit, up)
+            }
+        };
+        let (tb, down) = match sb {
+            None => (b, 0),
+            Some(y) => {
+                let s = &self.stubs[y];
+                (
+                    s.transit,
+                    s.link_delay_us.saturating_add(self.intra(y, s.gateway, b)),
+                )
+            }
+        };
+        let t = self.transit_routers;
+        let core = self
+            .core
+            .get_or_init(|| self.graph.delay_table_within(0..t));
+        let mid = core[(ta * t + tb) as usize] as u64;
+        clamp_u32(up.saturating_add(mid).saturating_add(down)) as u64
+    }
+
+    /// Source rows held by the filled tables: a stub table holds its
+    /// routers' rows, the core matrix the transit routers'.
+    fn rows_materialized(&self) -> usize {
+        let stubs: usize = self
+            .stubs
+            .iter()
+            .zip(&self.stub_tables)
+            .filter(|(_, t)| t.get().is_some())
+            .map(|(s, _)| s.len as usize)
+            .sum();
+        stubs + self.core.get().map_or(0, |_| self.transit_routers as usize)
+    }
 }
 
 /// Matrix of one-way delays between all router pairs, in microseconds.
 ///
-/// Either dense (precomputed, small graphs) or lazily materialised per source
-/// row (large graphs); lookups are identical in result and deterministic in
-/// either form.
+/// Dense (precomputed, small graphs), lazily materialised per source row
+/// (large graphs), or composed from per-stub tables and a core matrix
+/// (transit-stub graphs); lookups are identical in result and deterministic
+/// in every form.
 #[derive(Debug, Clone)]
 pub struct DelayMatrix {
     n: usize,
@@ -202,8 +334,37 @@ impl DelayMatrix {
             n,
             table: Table::Lazy {
                 graph,
-                rows: (0..n).map(|_| std::sync::OnceLock::new()).collect(),
+                rows: (0..n).map(|_| OnceLock::new()).collect(),
             },
+        }
+    }
+
+    /// Wraps a generated transit-stub topology as a composed delay matrix:
+    /// no shortest-path work happens until a query first reads a stub's
+    /// table or the core matrix. Its delays equal those of
+    /// [`Graph::shortest_delays_from`] on the whole graph.
+    pub fn transit_stub(ts: TransitStub) -> Self {
+        let (n, t) = (ts.graph.len(), ts.transit_routers as usize);
+        let mut stub_of = Vec::with_capacity(n.saturating_sub(t));
+        for (i, s) in ts.stubs.iter().enumerate() {
+            assert_eq!(s.first as usize, t + stub_of.len(), "stubs out of id order");
+            stub_of.extend(std::iter::repeat_n(i as u32, s.len as usize));
+        }
+        assert_eq!(
+            t + stub_of.len(),
+            n,
+            "stubs must cover the non-transit routers"
+        );
+        DelayMatrix {
+            n,
+            table: Table::Composed(Box::new(Composed {
+                graph: ts.graph,
+                transit_routers: ts.transit_routers,
+                stub_tables: ts.stubs.iter().map(|_| OnceLock::new()).collect(),
+                stubs: ts.stubs,
+                stub_of,
+                core: OnceLock::new(),
+            })),
         }
     }
 
@@ -217,12 +378,15 @@ impl DelayMatrix {
         self.n == 0
     }
 
-    /// Number of source rows currently materialised (== `len()` for dense
-    /// matrices). Diagnostic for memory accounting.
+    /// Number of source rows currently materialised: `len()` for dense
+    /// matrices, the filled rows for lazy ones, and for composed ones the
+    /// routers whose table (their stub's, or the core matrix) is filled.
+    /// Diagnostic for memory accounting.
     pub fn rows_materialized(&self) -> usize {
         match &self.table {
             Table::Dense(_) => self.n,
             Table::Lazy { rows, .. } => rows.iter().filter(|r| r.get().is_some()).count(),
+            Table::Composed(c) => c.rows_materialized(),
         }
     }
 
@@ -240,25 +404,8 @@ impl DelayMatrix {
                 let row = rows[a as usize].get_or_init(|| graph.delay_row(a));
                 row[b as usize] as u64
             }
+            Table::Composed(c) => c.delay_us(a, b),
         }
-    }
-
-    /// Mean delay over all ordered pairs of distinct routers, in microseconds.
-    ///
-    /// On a lazy matrix this materialises every row.
-    pub fn mean_delay_us(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0u64;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a != b {
-                    sum += self.delay_us(a as RouterId, b as RouterId);
-                }
-            }
-        }
-        sum as f64 / (self.n * (self.n - 1)) as f64
     }
 }
 
@@ -321,10 +468,23 @@ mod tests {
     }
 
     #[test]
-    fn mean_delay_of_pair() {
+    fn pair_delay_is_the_link_delay() {
         let g = line_graph(2);
         let m = g.all_pairs_delay();
-        assert_eq!(m.mean_delay_us(), 1000.0);
+        assert_eq!((m.delay_us(0, 1), m.delay_us(1, 0)), (1000, 1000));
+        assert_eq!((m.delay_us(0, 0), m.delay_us(1, 1)), (0, 0));
+    }
+
+    #[test]
+    fn restricted_search_ignores_edges_leaving_the_range() {
+        // 0-1-2-3 with a cheap detour 1-4-2 outside the range 0..4.
+        let mut g = line_graph(4);
+        g.add_router();
+        g.add_edge(1, 4, 0.1, 1);
+        g.add_edge(4, 2, 0.1, 1);
+        assert_eq!(g.shortest_delays_from(0), vec![0, 1000, 1002, 2002, 1001]);
+        assert_eq!(g.shortest_delays_within(0, 0..4), vec![0, 1000, 2000, 3000]);
+        assert_eq!(g.shortest_delays_within(2, 1..3), vec![1000, 0]);
     }
 
     #[test]
@@ -342,7 +502,6 @@ mod tests {
         }
         assert_eq!(lazy.rows_materialized(), 8);
         assert_eq!(dense.rows_materialized(), 8);
-        assert_eq!(dense.mean_delay_us(), lazy.mean_delay_us());
     }
 
     #[test]

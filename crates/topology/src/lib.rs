@@ -5,9 +5,14 @@
 //! (transit-stub, 5050 routers), *Mercator* (AS-level, IP-hop metric) and
 //! *CorpNet* (corporate network, 298 routers) — with end nodes attached to
 //! routers through LAN links. This crate generates structurally equivalent
-//! topologies (see DESIGN.md for the substitution rationale), computes their
-//! all-pairs one-way delay matrices, and exposes a uniform [`Topology`] handle
-//! that the simulator queries for end-to-end delays.
+//! topologies (see DESIGN.md for the substitution rationale; the generated
+//! GATech has 4,562 routers), answers all-pairs one-way delay queries, and
+//! exposes a uniform [`Topology`] handle that the simulator queries for
+//! end-to-end delays.
+//!
+//! Transit-stub delays are composed from per-stub tables and a core matrix
+//! ([`DelayMatrix::transit_stub`]); other topologies use a dense matrix, or
+//! lazily filled rows above [`DENSE_APSP_LIMIT`] routers.
 //!
 //! # Example
 //!
@@ -35,11 +40,12 @@ use transit_stub::TransitStubParams;
 /// Which topology to build, and at what scale.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologyKind {
-    /// Transit-stub topology at the paper's scale (≈5050 routers).
+    /// Transit-stub topology at the paper's scale (4,562 routers generated
+    /// from the paper's 5050-router means).
     GaTech,
-    /// Scaled-down transit-stub (≈510 routers) for quick runs.
+    /// Scaled-down transit-stub (192 routers) for quick runs.
     GaTechSmall,
-    /// Tiny transit-stub (≈50 routers) for unit tests.
+    /// Tiny transit-stub (36 routers) for unit tests.
     GaTechTiny,
     /// Mercator-like AS topology (hop-count proximity metric).
     Mercator,
@@ -70,11 +76,12 @@ pub struct Topology {
     lan_delay_us: u64,
 }
 
-/// Router count above which `Topology::build` keeps the delay matrix lazy
-/// instead of materialising the dense all-pairs form. At 1024 routers the
+/// Router count above which `Topology::build` keeps a graph's delay matrix
+/// lazy instead of materialising the dense all-pairs form (transit-stub
+/// topologies are composed at every size instead). At 1024 routers the
 /// dense matrix is 4 MB and builds in well under a second on a few cores; at
-/// the paper-scale GATech's 5050 routers it would be ~100 MB and thousands of
-/// Dijkstra passes, almost all of which a simulation never reads.
+/// Mercator's 1,984 routers it would be 16 MB and thousands of Dijkstra
+/// passes, almost all of which a simulation never reads.
 pub const DENSE_APSP_LIMIT: usize = 1024;
 
 impl Topology {
@@ -117,8 +124,8 @@ impl Topology {
         let ts = transit_stub::generate(p);
         Topology {
             name,
-            matrix: Self::freeze(ts.graph),
-            attach: ts.stub_routers,
+            attach: ts.stub_routers().collect(),
+            matrix: DelayMatrix::transit_stub(ts),
             lan_delay_us: 1_000,
         }
     }
@@ -182,16 +189,10 @@ impl Topology {
         self.matrix.delay_us(a, b) + 2 * self.lan_delay_us
     }
 
-    /// Mean router-to-router delay over all pairs, microseconds.
-    ///
-    /// On a lazily materialised matrix (router count above
-    /// [`DENSE_APSP_LIMIT`]) this forces every row.
-    pub fn mean_router_delay_us(&self) -> f64 {
-        self.matrix.mean_delay_us()
-    }
-
-    /// Number of delay-matrix source rows currently materialised; equals
-    /// [`Topology::router_count`] for densely built topologies.
+    /// Number of delay-matrix source rows currently materialised (see
+    /// [`DelayMatrix::rows_materialized`]); equals [`Topology::router_count`]
+    /// for densely built topologies and for composed ones once every table
+    /// is filled.
     pub fn delay_rows_materialized(&self) -> usize {
         self.matrix.rows_materialized()
     }
@@ -238,8 +239,40 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_gatech_defers_apsp() {
+    fn transit_stub_build_does_no_shortest_path_work() {
+        for kind in [
+            TopologyKind::GaTech,
+            TopologyKind::GaTechSmall,
+            TopologyKind::GaTechTiny,
+        ] {
+            let t = Topology::build(kind);
+            assert_eq!(t.delay_rows_materialized(), 0, "{}", t.name());
+        }
+    }
+
+    #[test]
+    fn one_query_fills_only_the_tables_it_reads() {
+        let ts = transit_stub::generate(&TransitStubParams::default());
         let t = Topology::build(TopologyKind::GaTech);
+        let (s, u) = (ts.stubs[0], ts.stubs[ts.stubs.len() - 1]);
+        let (k, t_count) = (s.len as usize, ts.transit_routers as usize);
+        // Within a stub: only that stub's table.
+        let (a, b) = (s.first, s.first + s.len - 1);
+        assert_eq!(t.router_delay_us(a, b), t.router_delay_us(a, b));
+        assert_eq!(t.delay_rows_materialized(), k);
+        // Across stubs: the other stub's table and the core matrix too.
+        let c = u.first;
+        assert_eq!(t.router_delay_us(a, c), t.router_delay_us(a, c));
+        assert_eq!(t.delay_rows_materialized(), k + u.len as usize + t_count);
+        // Between transit routers, or the same pair reversed: nothing new.
+        t.router_delay_us(0, 1);
+        t.router_delay_us(c, a);
+        assert_eq!(t.delay_rows_materialized(), k + u.len as usize + t_count);
+    }
+
+    #[test]
+    fn mercator_defers_apsp() {
+        let t = Topology::build(TopologyKind::Mercator);
         assert!(t.router_count() > DENSE_APSP_LIMIT);
         assert_eq!(t.delay_rows_materialized(), 0, "no rows before first query");
         let a = t.attach_points()[0];
@@ -253,8 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn small_topologies_stay_dense() {
-        let t = Topology::build(TopologyKind::GaTechSmall);
+    fn small_corpnet_stays_dense() {
+        let t = Topology::build(TopologyKind::CorpNet);
         assert!(t.router_count() <= DENSE_APSP_LIMIT);
         assert_eq!(t.delay_rows_materialized(), t.router_count());
     }

@@ -5,10 +5,18 @@
 //! domains at the top level with an average of 5 routers each; each transit
 //! router has an average of 10 stub domains attached with an average of 10
 //! routers each. End nodes attach to stub routers through a 1 ms LAN link.
+//! The default parameters draw the per-domain counts around those means and
+//! generate 4,562 routers; the small preset generates 192.
 //!
 //! Routing uses policy weights so that traffic between stub domains always
 //! climbs into the transit core rather than cutting through another stub
 //! domain, which is how GT-ITM's routing-policy weights behave.
+//!
+//! The generator numbers the transit routers `0..T` and gives each stub
+//! domain a contiguous id range joined to the core by exactly one link, its
+//! [`StubDomain`] record. Every path out of a stub crosses that link, which
+//! lets [`DelayMatrix::transit_stub`](crate::graph::DelayMatrix::transit_stub)
+//! compose any delay from one per-stub table and a core matrix.
 
 use crate::graph::{Graph, RouterId};
 use rand::rngs::SmallRng;
@@ -16,7 +24,8 @@ use rand::{Rng, SeedableRng};
 
 /// Parameters of the transit-stub generator.
 ///
-/// The defaults reproduce the paper's GATech configuration (≈5050 routers).
+/// The defaults reproduce the paper's GATech configuration (its means give
+/// 5050 routers; seed 42 draws 4,562).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitStubParams {
     /// Number of top-level transit domains.
@@ -53,7 +62,7 @@ impl Default for TransitStubParams {
 }
 
 impl TransitStubParams {
-    /// A scaled-down preset (≈510 routers) suitable for unit tests and quick
+    /// A scaled-down preset (192 routers) suitable for unit tests and quick
     /// benchmark runs.
     pub fn small() -> Self {
         TransitStubParams {
@@ -65,7 +74,7 @@ impl TransitStubParams {
         }
     }
 
-    /// A tiny preset (≈50 routers) for fast tests.
+    /// A tiny preset (36 routers) for fast tests.
     pub fn tiny() -> Self {
         TransitStubParams {
             transit_domains: 2,
@@ -77,14 +86,47 @@ impl TransitStubParams {
     }
 }
 
-/// Output of the transit-stub generator: the router graph plus the list of
-/// stub routers end nodes may attach to.
+/// A stub domain: the routers `first..first + len` plus the single link
+/// that joins them to the transit core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StubDomain {
+    /// Lowest router id of the domain.
+    pub first: RouterId,
+    /// Number of routers in the domain.
+    pub len: u32,
+    /// The domain's end of the core link.
+    pub gateway: RouterId,
+    /// The sponsoring transit router, the core's end of the link.
+    pub transit: RouterId,
+    /// One-way delay of the core link, microseconds.
+    pub link_delay_us: u64,
+}
+
+impl StubDomain {
+    /// The domain's router ids.
+    pub fn routers(&self) -> std::ops::Range<RouterId> {
+        self.first..self.first + self.len
+    }
+}
+
+/// Output of the transit-stub generator: the router graph with its transit
+/// core and stub domains.
 #[derive(Debug, Clone)]
 pub struct TransitStub {
     /// The router-level graph.
     pub graph: Graph,
+    /// Number of transit routers; they are the ids `0..transit_routers`.
+    pub transit_routers: u32,
+    /// Stub domains in id order; together they cover the ids from
+    /// `transit_routers` to the end of the graph.
+    pub stubs: Vec<StubDomain>,
+}
+
+impl TransitStub {
     /// Routers in stub domains; overlay nodes attach only to these.
-    pub stub_routers: Vec<RouterId>,
+    pub fn stub_routers(&self) -> std::ops::Range<RouterId> {
+        self.transit_routers..self.graph.len() as RouterId
+    }
 }
 
 /// Generates a transit-stub topology.
@@ -93,7 +135,6 @@ pub struct TransitStub {
 pub fn generate(params: &TransitStubParams) -> TransitStub {
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let mut g = Graph::default();
-    let mut stub_routers = Vec::new();
     // Policy weights: intra-stub links are cheap inside a stub but a stub is
     // never a transit: we achieve this by giving stub links a high routing
     // weight relative to transit links, and by the topology itself (each stub
@@ -133,7 +174,9 @@ pub fn generate(params: &TransitStubParams) -> TransitStub {
 
     // 2. Stub domains: each transit router sponsors `stubs_per_transit_router`
     //    stub domains; each stub domain is a small connected random graph
-    //    attached to its transit router through one (occasionally two) links.
+    //    attached to its transit router through exactly one link.
+    let transit_routers = g.len() as u32;
+    let mut stubs = Vec::new();
     for domain in &transit {
         for &tr in domain {
             let n_stubs = jitter_count(&mut rng, params.stubs_per_transit_router);
@@ -159,14 +202,21 @@ pub fn generate(params: &TransitStubParams) -> TransitStub {
                 let gw = routers[rng.gen_range(0..k)];
                 let d = delay_jitter(&mut rng, params.transit_stub_delay_us);
                 g.add_edge(gw, tr, W_TRANSIT_STUB, d);
-                stub_routers.extend_from_slice(&routers);
+                stubs.push(StubDomain {
+                    first: routers[0],
+                    len: k as u32,
+                    gateway: gw,
+                    transit: tr,
+                    link_delay_us: d,
+                });
             }
         }
     }
 
     TransitStub {
         graph: g,
-        stub_routers,
+        transit_routers,
+        stubs,
     }
 }
 
@@ -208,8 +258,8 @@ mod tests {
     #[test]
     fn stub_routers_are_valid_ids() {
         let ts = generate(&TransitStubParams::tiny());
-        assert!(!ts.stub_routers.is_empty());
-        for &r in &ts.stub_routers {
+        assert!(!ts.stub_routers().is_empty());
+        for r in ts.stub_routers() {
             assert!((r as usize) < ts.graph.len());
         }
     }
@@ -219,7 +269,7 @@ mod tests {
         let a = generate(&TransitStubParams::tiny());
         let b = generate(&TransitStubParams::tiny());
         assert_eq!(a.graph.len(), b.graph.len());
-        assert_eq!(a.stub_routers, b.stub_routers);
+        assert_eq!(a.stubs, b.stubs);
         let ma = a.graph.all_pairs_delay();
         let mb = b.graph.all_pairs_delay();
         for x in 0..ma.len() as u32 {
@@ -260,8 +310,8 @@ mod tests {
         // core hop.
         let ts = generate(&TransitStubParams::small());
         let m = ts.graph.all_pairs_delay();
-        let a = ts.stub_routers[0];
-        let b = *ts.stub_routers.last().unwrap();
+        let a = ts.stub_routers().start;
+        let b = ts.stub_routers().end - 1;
         assert!(m.delay_us(a, b) > TransitStubParams::small().transit_stub_delay_us);
     }
 }

@@ -76,7 +76,7 @@ proptest! {
             ..TransitStubParams::tiny()
         });
         prop_assert!(ts.graph.is_connected());
-        prop_assert!(!ts.stub_routers.is_empty());
+        prop_assert!(!ts.stub_routers().is_empty());
     }
 
     #[test]
