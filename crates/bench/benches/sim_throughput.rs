@@ -16,7 +16,7 @@
 //! the flight-recorder overhead; results are printed but *not* written to
 //! `BENCH_throughput.json` (the reference file tracks the untraced path).
 
-use bench::{header, scale, Scale};
+use bench::{scale, Scale};
 
 fn runs() -> usize {
     std::env::var("MSPASTRY_BENCH_RUNS")
@@ -73,10 +73,9 @@ fn entry_json(m: &Measurement) -> String {
 
 fn main() {
     let s = scale();
-    header(
-        "sim_throughput",
-        "simulator events/sec, Gnutella reference workload",
-        s,
+    println!(
+        "sim_throughput: simulator events/sec, Gnutella reference workload ({} scale)",
+        s.name()
     );
 
     let trace_rate: f64 = std::env::var("MSPASTRY_TRACE_RATE")

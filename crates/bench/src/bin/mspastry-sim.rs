@@ -43,6 +43,7 @@
 //! ```
 
 use churn::poisson::PoissonParams;
+use harness::sweep::METRIC_NAMES;
 use harness::{
     run, run_sweep, sweep_csv, sweep_json, RunConfig, SweepConfig, Workload, CATEGORY_NAMES,
 };
@@ -83,8 +84,9 @@ fn main() {
         }
         return;
     }
-    if let Some(name) = get("--scenario") {
+    if flag("--scenario") {
         check_flags(&args, "Scenario mode");
+        let name = get("--scenario").expect("check_flags requires a value");
         run_scenario(&name, &args);
         return;
     }
@@ -93,11 +95,28 @@ fn main() {
     }
     check_flags(&args, "Ad-hoc mode");
 
-    let hours = parse_or("--hours", 2.0);
+    let positive = |name: &str, default: f64| -> f64 {
+        let v = parse_or(name, default);
+        if !(v.is_finite() && v > 0.0) {
+            die(&format!("bad value for {name}: {v} (must be > 0)"));
+        }
+        v
+    };
+    let hours = positive("--hours", 2.0);
     let duration_us = (hours * 3600e6) as u64;
-    let nodes = parse_or("--nodes", 200.0);
-    let session_min = parse_or("--session", 60.0);
+    let nodes = positive("--nodes", 200.0);
+    let session_min = positive("--session", 60.0);
     let seed = parse_or("--seed", 1.0) as u64;
+    let loss_pct = parse_or("--loss", 0.0);
+    if !(0.0..100.0).contains(&loss_pct) {
+        die(&format!(
+            "bad value for --loss: {loss_pct} (percent, in [0, 100))"
+        ));
+    }
+    let rate = parse_or("--lookups", 0.01);
+    if !(rate.is_finite() && rate >= 0.0) {
+        die(&format!("bad value for --lookups: {rate} (must be >= 0)"));
+    }
 
     let trace = match get("--churn").as_deref().unwrap_or("poisson") {
         "poisson" => churn::poisson::trace(&PoissonParams {
@@ -132,8 +151,7 @@ fn main() {
         "corpnet" => TopologyKind::CorpNet,
         other => die(&format!("unknown topology: {other}")),
     };
-    cfg.network_loss_rate = parse_or("--loss", 0.0) / 100.0;
-    let rate = parse_or("--lookups", 0.01);
+    cfg.network_loss_rate = loss_pct / 100.0;
     cfg.workload = if rate > 0.0 {
         Workload::Poisson {
             rate_per_node_per_sec: rate,
@@ -149,6 +167,9 @@ fn main() {
     cfg.protocol.active_rt_probing = !flag("--no-probing");
     cfg.protocol.probe_suppression = !flag("--no-suppression");
     cfg.protocol.self_tuning = !flag("--no-selftuning");
+    if let Err(e) = cfg.protocol.validate() {
+        die(&format!("invalid protocol parameters: {e}"));
+    }
 
     let json_path = get("--json");
     let trace_rate = get("--trace")
@@ -297,8 +318,8 @@ fn main() {
 }
 
 /// Runs a registered scenario as a (possibly multi-seed, parallel) sweep and
-/// prints per-point means; `--json [PATH]` also writes the
-/// `mspastry-series/2` artifact plus a CSV next to it.
+/// prints per-point means, figure-specific metrics included; `--json [PATH]`
+/// also writes the `mspastry-series/2` artifact plus a CSV next to it.
 fn run_scenario(name: &str, args: &[String]) {
     let parse_or = |opt: &str, default: u64| -> u64 {
         args.iter()
@@ -359,6 +380,10 @@ fn run_scenario(name: &str, args: &[String]) {
             stat("mean_rdp"),
             stat("control_msgs_per_node_per_sec"),
         );
+        // The point's figure-specific metrics, if any (means over seeds).
+        for m in &p.stats[METRIC_NAMES.len()..] {
+            println!("    {:<30} {}", m.name, m.mean);
+        }
     }
 
     if let Some(path) = json {
@@ -399,21 +424,44 @@ fn print_help() {
     }
 }
 
-/// Exits with an error on any `--` token that the help text's section
-/// starting with `mode` does not list.
+/// Exits with an error unless every argument is a flag that the help
+/// text's section starting with `mode` lists, followed by a value when the
+/// help shows one (`--flag NAME`; `--flag [NAME]` makes it optional). A
+/// value must not be missing or start with `--`.
 fn check_flags(args: &[String], mode: &str) {
-    let accepted: Vec<&str> = help_lines()
+    // (flag, None if it takes no value, else Some(value is optional))
+    let accepted: Vec<(&str, Option<bool>)> = help_lines()
         .skip_while(|t| !t.starts_with(mode))
         .skip(1)
         .take_while(|t| !t.is_empty())
-        .filter_map(|t| t.split_whitespace().next())
-        .filter(|w| w.starts_with("--"))
+        .filter_map(|t| {
+            let mut words = t.split_whitespace();
+            let flag = words.next().filter(|w| w.starts_with("--"))?;
+            let value = words.next().and_then(|w| {
+                let name = w.trim_start_matches('[').trim_end_matches(']');
+                name.chars()
+                    .all(|c| c.is_ascii_uppercase())
+                    .then_some(w.starts_with('['))
+            });
+            Some((flag, value))
+        })
         .collect();
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
-    {
-        die(&format!("unknown flag: {bad}"));
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        let Some(&(flag, value)) = accepted.iter().find(|(f, _)| f == arg) else {
+            if arg.starts_with("--") {
+                die(&format!("unknown flag: {arg}"));
+            }
+            die(&format!("unexpected argument: {arg}"));
+        };
+        let Some(optional) = value else { continue };
+        match rest.peek() {
+            Some(v) if !v.starts_with("--") => {
+                rest.next();
+            }
+            _ if optional => {}
+            _ => die(&format!("missing value for {flag}")),
+        }
     }
 }
 

@@ -1,13 +1,13 @@
-//! Shared machinery for the paper-reproduction benchmark targets.
+//! The experiment front-end of the MSPastry reproduction: the full scenario
+//! registry, run by the `mspastry-sim` CLI.
 //!
-//! Every figure and table of the paper's §5 has a bench target under
-//! `benches/` (all with `harness = false`, so `cargo bench` runs them as
-//! plain binaries that print the same rows/series the paper reports). The
-//! experiment *definitions* live in the scenario registry
-//! ([`harness::scenario`]); the benches here are thin declarations that look
-//! their scenario up in [`scenarios`], run its points, and pretty-print the
-//! paper's tables. The `mspastry-sim` CLI executes the same registry
-//! entries (`--scenario NAME`), optionally as a parallel multi-seed sweep.
+//! Every figure and table of the paper's §5 is a named scenario. The
+//! harness-expressible ones live in [`harness::scenario`]; [`scenarios`]
+//! adds the application-backed ones (`fig8_squirrel`, `exp_replication`).
+//! `mspastry-sim --scenario NAME` runs any of them as a multi-seed sweep and
+//! writes the `mspastry-series/2` artifact, with each figure's own numbers
+//! as named per-point metrics. `benches/` holds only the criterion
+//! micro-benches and the simulator throughput benchmark.
 //!
 //! Two scales are supported, selected by the `MSPASTRY_SCALE` environment
 //! variable:
@@ -22,14 +22,13 @@ use apps::squirrel::{self, SquirrelParams};
 use apps::web_workload::WebWorkloadParams;
 use churn::poisson::{self, PoissonParams};
 use churn::synth::DAY_US;
-use harness::scenario::{Registry, Scenario, ScenarioPoint, SEED_RUN_STRIDE, SEED_TRACE_STRIDE};
+use harness::scenario::{
+    Registry, Scenario, ScenarioPoint, MIN, SEED_RUN_STRIDE, SEED_TRACE_STRIDE,
+};
 use harness::{RunConfig, RunResult, Workload};
 use topology::TopologyKind;
 
-pub use harness::scenario::{
-    base_config, gatech, gnutella_sweep_trace, gnutella_trace, microsoft_trace, overnet_trace,
-    scale, Scale, HOUR, MIN,
-};
+pub use harness::scenario::{scale, Scale};
 
 /// The full scenario registry: every harness-expressible experiment
 /// ([`Registry::builtin`]) plus the application-backed scenarios that need
@@ -51,10 +50,11 @@ pub fn scenarios() -> Registry {
     r
 }
 
-/// The Squirrel deployment parameters at a scale (52 machines over six days
-/// in quick mode; the paper-shaped default workload in full mode).
-pub fn fig8_params(s: Scale) -> SquirrelParams {
-    match s {
+/// The Squirrel deployment parameters at a scale and seed index (52
+/// machines over six days in quick mode; the paper-shaped default workload
+/// in full mode).
+pub fn fig8_params(s: Scale, seed: u64) -> SquirrelParams {
+    let mut params = match s {
         Scale::Full => SquirrelParams::default(),
         Scale::Quick => SquirrelParams {
             web: WebWorkloadParams {
@@ -65,14 +65,27 @@ pub fn fig8_params(s: Scale) -> SquirrelParams {
             },
             ..Default::default()
         },
-    }
+    };
+    params.seed += seed * SEED_TRACE_STRIDE;
+    params
 }
 
 fn fig8_points(s: Scale) -> Vec<ScenarioPoint> {
     vec![ScenarioPoint::new("squirrel", move |seed| {
-        let mut params = fig8_params(s);
-        params.seed += seed * SEED_TRACE_STRIDE;
-        squirrel::build_run(&params).0
+        squirrel::build_run(&fig8_params(s, seed)).0
+    })
+    .with_metrics(move |seed, res| {
+        // The run configuration does not carry the requests skipped
+        // while their machine was down; rebuilding recovers the count.
+        let (_, skipped_offline) = squirrel::build_run(&fig8_params(s, seed));
+        let c = squirrel::cache_stats(res, skipped_offline);
+        vec![
+            ("cache_served", c.served as f64),
+            ("cache_hits", c.hits as f64),
+            ("cache_misses", c.misses as f64),
+            ("cache_hit_rate", c.hit_rate()),
+            ("cache_skipped", c.skipped as f64),
+        ]
     })]
 }
 
@@ -102,189 +115,100 @@ pub fn replication_setup(seed: u64) -> (RunConfig, Vec<kvstore::TimedOp>) {
     (cfg, ops)
 }
 
+/// The replica counts the replication scenario evaluates, each with the
+/// metric names of its GET hits, misses, GETs without a stored PUT, and hit
+/// rate ([`kvstore::KvStats`]).
+pub const REPLICA_METRICS: [(usize, [&str; 4]); 5] = [
+    (0, ["k0_hits", "k0_misses", "k0_no_put", "k0_hit_rate"]),
+    (1, ["k1_hits", "k1_misses", "k1_no_put", "k1_hit_rate"]),
+    (2, ["k2_hits", "k2_misses", "k2_no_put", "k2_hit_rate"]),
+    (4, ["k4_hits", "k4_misses", "k4_no_put", "k4_hit_rate"]),
+    (8, ["k8_hits", "k8_misses", "k8_no_put", "k8_hit_rate"]),
+];
+
+/// One churny run; replication factors are evaluated by post-processing the
+/// same delivery log, so the comparison is exactly controlled.
 fn replication_points(_s: Scale) -> Vec<ScenarioPoint> {
-    vec![ScenarioPoint::new("kv-churn", |seed| {
-        replication_setup(seed).0
-    })]
+    vec![
+        ScenarioPoint::new("kv-churn", |seed| replication_setup(seed).0)
+            .with_metrics(replication_metrics),
+    ]
 }
 
-/// Runs and reports wall-clock time on stderr.
-pub fn timed_run(label: &str, cfg: RunConfig) -> RunResult {
-    let t0 = std::time::Instant::now();
-    let res = harness::run(cfg);
-    eprintln!(
-        "[{label}] {:.1}s wall, {} sim events, {} active at end",
-        t0.elapsed().as_secs_f64(),
-        res.sim_events,
-        res.final_active
-    );
-    res
-}
-
-/// Formats a number in scientific notation like the paper's axes.
-pub fn sci(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else {
-        format!("{x:.1e}")
+/// The op count and the [`REPLICA_METRICS`] of one run (the op list is
+/// rebuilt from the seed index).
+fn replication_metrics(seed: u64, res: &RunResult) -> Vec<(&'static str, f64)> {
+    let (_, ops) = replication_setup(seed);
+    let mut metrics = vec![("kv_ops", ops.len() as f64)];
+    for (k, names) in REPLICA_METRICS {
+        let st = kvstore::evaluate_replicated(&ops, &res.deliveries, k);
+        let values = [
+            st.gets_hit as f64,
+            st.gets_missed as f64,
+            st.gets_no_put as f64,
+            st.hit_rate(),
+        ];
+        metrics.extend(names.into_iter().zip(values));
     }
-}
-
-/// File stem for a result artifact: `<name>.<scale>`, so quick and full
-/// runs of the same experiment never clobber each other. Sweep artifacts
-/// additionally tag the seed count (see the `mspastry-sim` CLI).
-pub fn artifact_stem(name: &str, s: Scale) -> String {
-    format!("{name}.{}", s.name())
-}
-
-/// CSV export of experiment results (written under `results/`).
-pub mod csv {
-    use std::io::Write;
-    use std::path::{Path, PathBuf};
-
-    /// Writes rows to `results/<stem>.csv` with the given header, creating
-    /// the directory if missing, and returns the written path. Errors are
-    /// reported on stderr but never abort an experiment (`None`).
-    pub fn write(stem: &str, header: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("csv: cannot create {dir:?}: {e}");
-            return None;
-        }
-        let path = dir.join(format!("{stem}.csv"));
-        let mut out = match std::fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("csv: cannot create {path:?}: {e}");
-                return None;
-            }
-        };
-        let mut text = header.join(",");
-        text.push('\n');
-        for row in rows {
-            text.push_str(&row.join(","));
-            text.push('\n');
-        }
-        if let Err(e) = out.write_all(text.as_bytes()) {
-            eprintln!("csv: write to {path:?} failed: {e}");
-            None
-        } else {
-            eprintln!("csv: wrote {path:?} ({} rows)", rows.len());
-            Some(path)
-        }
-    }
-}
-
-/// JSON sidecar export of experiment results (written under `results/`,
-/// next to the CSVs). Schema `mspastry-series/1`: a named table with typed
-/// cells, so downstream tooling never re-parses CSV heuristically.
-pub mod json {
-    use obs::JsonWriter;
-    use std::path::{Path, PathBuf};
-
-    /// Serialises one cell: numbers stay numbers, everything else is a
-    /// string. Integer parses are tried first so counts round-trip exactly.
-    fn cell(w: &mut JsonWriter, v: &str) {
-        if let Ok(n) = v.parse::<u64>() {
-            w.u64(n);
-        } else if let Ok(n) = v.parse::<i64>() {
-            w.i64(n);
-        } else if let Ok(f) = v.parse::<f64>() {
-            w.f64(f);
-        } else {
-            w.string(v);
-        }
-    }
-
-    /// Renders a table as a `mspastry-series/1` JSON document.
-    pub fn render_table(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("schema", "mspastry-series/1")
-            .field_str("name", name);
-        w.key("columns").begin_array();
-        for h in header {
-            w.string(h);
-        }
-        w.end_array();
-        w.key("rows").begin_array();
-        for row in rows {
-            w.begin_array();
-            for v in row {
-                cell(&mut w, v);
-            }
-            w.end_array();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Writes a table to `results/<stem>.json`, creating the directory if
-    /// missing, and returns the written path. Errors are reported on stderr
-    /// but never abort an experiment (`None`, mirroring
-    /// [`super::csv::write`]).
-    pub fn write_table(stem: &str, header: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("json: cannot create {dir:?}: {e}");
-            return None;
-        }
-        let path = dir.join(format!("{stem}.json"));
-        match std::fs::write(&path, render_table(stem, header, rows)) {
-            Ok(()) => {
-                eprintln!("json: wrote {path:?} ({} rows)", rows.len());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("json: write to {path:?} failed: {e}");
-                None
-            }
-        }
-    }
-}
-
-/// Prints a standard header for a bench target.
-pub fn header(fig: &str, what: &str, s: Scale) {
-    println!("==============================================================");
-    println!("{fig}: {what}");
-    println!(
-        "scale: {:?} (set MSPASTRY_SCALE=full for paper-scale runs)",
-        s
-    );
-    println!("==============================================================");
+    metrics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harness::{run, run_sweep, SweepConfig, SweepResult};
 
-    #[test]
-    fn sci_formats() {
-        assert_eq!(sci(0.0), "0");
-        assert_eq!(sci(1.6e-5), "1.6e-5");
-    }
-
-    #[test]
-    fn json_table_types_cells() {
-        let rows = vec![vec![
-            "gnutella".to_string(),
-            "42".to_string(),
-            "1.5".to_string(),
-        ]];
-        let s = json::render_table("t", &["trace", "n", "rdp"], &rows);
-        assert_eq!(
-            s,
-            "{\"schema\":\"mspastry-series/1\",\"name\":\"t\",\
-             \"columns\":[\"trace\",\"n\",\"rdp\"],\
-             \"rows\":[[\"gnutella\",42,1.5]]}"
+    /// The one-seed sweep of a single-point scenario, and a lookup of its
+    /// metrics by name.
+    fn sweep_one(name: &str) -> (SweepResult, impl Fn(&SweepResult, &str) -> f64) {
+        let sweep = run_sweep(
+            scenarios().get(name).unwrap(),
+            &SweepConfig::new(Scale::Quick),
         );
+        let metric = |sweep: &SweepResult, m: &str| {
+            let stat = sweep.points[0].stats.iter().find(|s| s.name == m);
+            stat.unwrap_or_else(|| panic!("no metric {m}")).values[0]
+        };
+        (sweep, metric)
     }
 
     #[test]
-    fn artifact_stems_carry_the_scale() {
-        assert_eq!(artifact_stem("fig6_loss", Scale::Quick), "fig6_loss.quick");
-        assert_eq!(artifact_stem("fig6_loss", Scale::Full), "fig6_loss.full");
+    fn fig8_metrics_are_the_cache_stats_of_a_direct_run() {
+        // The two six-day runs are the slowest part of the suite; overlap them.
+        let ((sweep, metric), c) = std::thread::scope(|scope| {
+            let direct = scope.spawn(|| {
+                let (cfg, skipped_offline) = squirrel::build_run(&fig8_params(Scale::Quick, 0));
+                squirrel::cache_stats(&run(cfg), skipped_offline)
+            });
+            (sweep_one("fig8_squirrel"), direct.join().unwrap())
+        });
+        assert!(c.served > 0);
+        assert_eq!(metric(&sweep, "cache_served"), c.served as f64);
+        assert_eq!(metric(&sweep, "cache_hits"), c.hits as f64);
+        assert_eq!(metric(&sweep, "cache_misses"), c.misses as f64);
+        assert_eq!(metric(&sweep, "cache_hit_rate"), c.hit_rate());
+        assert_eq!(metric(&sweep, "cache_skipped"), c.skipped as f64);
+    }
+
+    #[test]
+    fn replication_metrics_are_evaluate_replicated_of_a_direct_run() {
+        let (sweep, metric) = sweep_one("exp_replication");
+        let (cfg, ops) = replication_setup(0);
+        let res = run(cfg);
+        assert_eq!(metric(&sweep, "kv_ops"), ops.len() as f64);
+        for (k, [hits, misses, no_put, hit_rate]) in REPLICA_METRICS {
+            let st = kvstore::evaluate_replicated(&ops, &res.deliveries, k);
+            assert!(st.gets_hit > 0, "k={k}");
+            assert_eq!(metric(&sweep, hits), st.gets_hit as f64);
+            assert_eq!(metric(&sweep, misses), st.gets_missed as f64);
+            assert_eq!(metric(&sweep, no_put), st.gets_no_put as f64);
+            assert_eq!(metric(&sweep, hit_rate), st.hit_rate());
+        }
+        assert_eq!(
+            REPLICA_METRICS.map(|(k, _)| k),
+            [0, 1, 2, 4, 8],
+            "the replica counts EXPERIMENTS.md reports"
+        );
     }
 
     #[test]
@@ -303,7 +227,7 @@ mod tests {
             .unwrap()
             .expand(Scale::Quick);
         let from_scenario = (pts[0].build)(0);
-        let (direct, _) = squirrel::build_run(&fig8_params(Scale::Quick));
+        let (direct, _) = squirrel::build_run(&fig8_params(Scale::Quick, 0));
         assert_eq!(from_scenario.seed, direct.seed);
         assert_eq!(from_scenario.trace, direct.trace);
     }

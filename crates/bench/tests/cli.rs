@@ -1,5 +1,6 @@
-//! `mspastry-sim` rejects flags its mode does not accept instead of running
-//! the default configuration.
+//! `mspastry-sim` rejects flags its mode does not accept, and flag values
+//! that are missing or out of range, with exit status 2 instead of running
+//! a default configuration or panicking.
 
 use std::process::{Command, Output};
 
@@ -38,4 +39,50 @@ fn a_typo_fails_and_help_succeeds() {
     assert!(help.status.success());
     let text = String::from_utf8_lossy(&help.stdout);
     assert!(text.contains("--topology NAME"), "{text}");
+}
+
+#[track_caller]
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = sim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+}
+
+#[test]
+fn missing_values_fail() {
+    assert_usage_error(&["--hours"], "missing value for --hours");
+    assert_usage_error(&["--nodes", "--hours", "1"], "missing value for --nodes");
+    assert_usage_error(&["--scenario"], "missing value for --scenario");
+    assert_usage_error(
+        &["--scenario", "smoke", "--seeds"],
+        "missing value for --seeds",
+    );
+    // Scenario-mode `--json` takes an optional path, so the next flag is
+    // parsed as a flag.
+    assert_usage_error(
+        &["--scenario", "smoke", "--json", "--jobs", "x"],
+        "bad value for --jobs: x",
+    );
+    assert_usage_error(&["--nodes", "20", "30"], "unexpected argument: 30");
+}
+
+#[test]
+fn out_of_range_values_fail() {
+    for (flag, value) in [
+        ("--b", "0"),
+        ("--b", "9"),
+        ("--l", "7"),
+        ("--target-lr", "0"),
+    ] {
+        assert_usage_error(&[flag, value], "invalid protocol parameters");
+    }
+    for (flag, value) in [
+        ("--loss", "200"),
+        ("--nodes", "-5"),
+        ("--hours", "-1"),
+        ("--lookups", "nan"),
+    ] {
+        assert_usage_error(&[flag, value], &format!("bad value for {flag}"));
+    }
 }

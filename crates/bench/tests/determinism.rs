@@ -34,16 +34,25 @@ fn scenario_run_bit_matches_the_legacy_direct_path() {
     assert_eq!(run_json(&from_scenario), run_json(&from_legacy));
 }
 
+/// `smoke` has the standard metrics only; `exp_replication` adds
+/// figure-specific metrics computed from each run's delivery log.
 #[test]
 fn sweep_artifacts_are_byte_identical_across_worker_counts() {
     let registry = bench::scenarios();
-    let scenario = registry.get("smoke").expect("registered scenario");
-    let mut cfg = SweepConfig::new(Scale::Quick);
-    cfg.seeds = 2;
-    cfg.jobs = 1;
-    let serial = run_sweep(scenario, &cfg);
-    cfg.jobs = 3;
-    let parallel = run_sweep(scenario, &cfg);
-    assert_eq!(sweep_json(&serial), sweep_json(&parallel));
-    assert_eq!(sweep_csv(&serial), sweep_csv(&parallel));
+    for name in ["smoke", "exp_replication"] {
+        let scenario = registry.get(name).expect("registered scenario");
+        let mut cfg = SweepConfig::new(Scale::Quick);
+        cfg.seeds = 2;
+        cfg.jobs = 1;
+        let serial = run_sweep(scenario, &cfg);
+        cfg.jobs = 3;
+        let parallel = run_sweep(scenario, &cfg);
+        let json = sweep_json(&serial);
+        assert_eq!(json, sweep_json(&parallel), "{name}");
+        assert_eq!(sweep_csv(&serial), sweep_csv(&parallel), "{name}");
+        assert!(json.contains("\"windows\":[[{\"start_us\":"), "{name}");
+        if name == "exp_replication" {
+            assert!(json.contains("\"k1_hit_rate\":{\"mean\":"));
+        }
+    }
 }

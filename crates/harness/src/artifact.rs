@@ -15,7 +15,7 @@ use obs::JsonWriter;
 pub const RUN_SCHEMA: &str = "mspastry-run/1";
 
 /// Writes one [`WindowReport`] as a JSON object.
-fn window_json(w: &mut JsonWriter, win: &WindowReport) {
+pub(crate) fn window_json(w: &mut JsonWriter, win: &WindowReport) {
     w.begin_object();
     w.field_u64("start_us", win.start_us)
         .field_f64("rdp", win.rdp)

@@ -38,10 +38,7 @@ pub mod scenario;
 pub mod sweep;
 
 pub use artifact::{report_json, run_json, RUN_SCHEMA};
-pub use metrics::{
-    category_index, quantile_index, series_index, Report, WindowReport, CATEGORY_NAMES,
-    N_CATEGORIES,
-};
+pub use metrics::{category_index, Report, WindowReport, CATEGORY_NAMES, N_CATEGORIES};
 pub use oracle::Oracle;
 pub use runner::{run, DeliveryRecord, RunConfig, RunResult, ScriptedLookup, Workload};
 pub use scenario::{scale, Registry, Scale, Scenario, ScenarioPoint};

@@ -345,13 +345,6 @@ impl Metrics {
     }
 }
 
-/// Index of the sample a fraction `frac` (0.0..1.0) of the way through a
-/// series of length `n` — the window-sampling rule the figure benches share
-/// (truncating, clamped to the last element; 0 for an empty series).
-pub fn series_index(n: usize, frac: f64) -> usize {
-    ((n as f64 * frac) as usize).min(n.saturating_sub(1))
-}
-
 /// Nearest-rank index of quantile `q` (0.0..=1.0) in a sorted sample of
 /// length `n` (0 for an empty sample).
 pub fn quantile_index(n: usize, q: f64) -> usize {
@@ -582,23 +575,6 @@ mod tests {
         let r = m.finalize(1_000_000);
         assert!((r.mean_rdp - 2.0).abs() < 1e-9);
         assert!((r.mean_hops - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_index_clamps_and_truncates() {
-        assert_eq!(series_index(0, 0.5), 0);
-        assert_eq!(series_index(10, 0.0), 0);
-        assert_eq!(series_index(10, 0.45), 4);
-        assert_eq!(series_index(10, 0.99), 9);
-        assert_eq!(series_index(10, 1.0), 9, "frac 1.0 clamps to the end");
-        // Matches the inline expression the figure benches used to copy.
-        for n in [1usize, 3, 7, 10, 144] {
-            for i in 0..=10 {
-                let frac = i as f64 / 10.0;
-                let legacy = ((n as f64 * frac) as usize).min(n.saturating_sub(1));
-                assert_eq!(series_index(n, frac), legacy, "n={n} frac={frac}");
-            }
-        }
     }
 
     #[test]

@@ -964,14 +964,16 @@ mod tests {
         // final partial window.
         assert!(ts.len() >= 14, "windows {}", ts.len());
         assert_eq!(ts.dropped(), 0);
-        // Per-window deltas must sum back to the end-of-run totals.
-        for name in ["net.delivered", "net.sent"] {
+        // Per-window deltas must sum back to the end-of-run totals, for a
+        // network counter and a protocol counter that both move.
+        for name in ["net.delivered", "pns.measured"] {
             let total: u64 = ts
                 .windows()
                 .flat_map(|w| w.counters.iter())
                 .filter(|(n, _)| n == name)
                 .map(|(_, d)| d)
                 .sum();
+            assert!(total > 0, "counter {name} never moved");
             assert_eq!(total, res.diag.counter(name), "counter {name}");
         }
         let prof = res.prof.as_ref().expect("profiler ran");

@@ -6,21 +6,22 @@
 //! and expands, for a given [`Scale`], into labelled [`ScenarioPoint`]s,
 //! each of which builds a concrete [`RunConfig`] for any seed index. The
 //! [`Registry`] maps experiment names (`fig4_traces`, `exp_ablation`, ...)
-//! to scenarios so benches, the `mspastry-sim` CLI and the examples all
-//! launch the *same* configurations from one code path; the companion
+//! to scenarios so the `mspastry-sim` CLI, the benchmark and the examples
+//! all launch the *same* configurations from one code path; the companion
 //! [`crate::sweep`] module executes a scenario's (point × seed) grid across
-//! worker threads.
+//! worker threads. A point may also derive figure-specific metrics from
+//! each finished run ([`ScenarioPoint::with_metrics`]), which the sweep
+//! aggregates next to the standard ones.
 //!
 //! # Seed indices
 //!
-//! Scenario builders take a *seed index*, not a raw RNG seed. Index 0
-//! reproduces the published configuration of the corresponding bench
-//! bit-for-bit (same churn-trace seeds, same run seeds); index `k` shifts
-//! every churn-trace seed by `k *` [`SEED_TRACE_STRIDE`] and every run seed
-//! by `k *` [`SEED_RUN_STRIDE`], giving statistically independent repeats
-//! that remain fully deterministic.
+//! Scenario builders take a *seed index*, not a raw RNG seed. Index 0 is
+//! the configuration EXPERIMENTS.md reports; index `k` shifts every
+//! churn-trace seed by `k *` [`SEED_TRACE_STRIDE`] and every run seed by
+//! `k *` [`SEED_RUN_STRIDE`], giving statistically independent repeats that
+//! remain fully deterministic.
 
-use crate::runner::{RunConfig, Workload};
+use crate::runner::{RunConfig, RunResult, Workload};
 use churn::gnutella::GnutellaParams;
 use churn::microsoft::MicrosoftParams;
 use churn::overnet::OvernetParams;
@@ -130,8 +131,7 @@ pub fn microsoft_trace(s: Scale) -> Trace {
 }
 
 /// A short Gnutella-like trace for parameter sweeps (many runs). `point` is
-/// the per-point seed offset the legacy benches used; `seed` is the sweep
-/// seed index.
+/// the scenario point's trace-seed offset; `seed` is the sweep seed index.
 pub fn gnutella_sweep_trace_seeded(s: Scale, point: u64, seed: u64) -> Trace {
     let p = point + seed * SEED_TRACE_STRIDE;
     match s {
@@ -180,6 +180,11 @@ fn shift_run_seed(cfg: &mut RunConfig, seed: u64) {
     cfg.seed += seed * SEED_RUN_STRIDE;
 }
 
+/// Derives figure-specific metrics from one finished run, given its seed
+/// index: `(name, value)` pairs, the same names in the same order for every
+/// seed index and every point of a scenario.
+pub type PointMetrics = Box<dyn Fn(u64, &RunResult) -> Vec<(&'static str, f64)> + Send + Sync>;
+
 /// One runnable parameter point of a scenario: a label (the sweep-axis
 /// value, e.g. `l=16`) plus a builder producing the point's [`RunConfig`]
 /// for any seed index.
@@ -188,6 +193,9 @@ pub struct ScenarioPoint {
     pub label: String,
     /// Builds the run configuration for one seed index.
     pub build: Box<dyn Fn(u64) -> RunConfig + Send + Sync>,
+    /// Figure-specific metrics the sweep aggregates after the standard
+    /// ones (`None`: the standard metrics only).
+    pub metrics: Option<PointMetrics>,
 }
 
 impl ScenarioPoint {
@@ -199,7 +207,17 @@ impl ScenarioPoint {
         ScenarioPoint {
             label: label.into(),
             build: Box::new(build),
+            metrics: None,
         }
+    }
+
+    /// Attaches the point's figure-specific metrics.
+    pub fn with_metrics(
+        mut self,
+        metrics: impl Fn(u64, &RunResult) -> Vec<(&'static str, f64)> + Send + Sync + 'static,
+    ) -> Self {
+        self.metrics = Some(Box::new(metrics));
+        self
     }
 }
 
@@ -366,35 +384,76 @@ fn smoke_points(s: Scale) -> Vec<ScenarioPoint> {
     })]
 }
 
+/// Builds a trace at a scale and seed index.
+type TraceFn = fn(Scale, u64) -> Trace;
+
+/// The three real-world traces of Fig. 3 and Fig. 4, by point label.
+const TRACES: [(&str, TraceFn); 3] = [
+    ("Gnutella", gnutella_trace_seeded),
+    ("OverNet", overnet_trace_seeded),
+    ("Microsoft", microsoft_trace_seeded),
+];
+
 /// The three real-world traces under the base configuration. Shared by the
 /// fig3 and fig4 scenarios (fig4 additionally widens the Microsoft metrics
 /// window to an hour, matching the paper's plots).
 fn trace_triple_points(s: Scale, microsoft_hour_windows: bool) -> Vec<ScenarioPoint> {
-    let mut pts = vec![
-        ScenarioPoint::new("Gnutella", move |seed| {
-            let mut cfg = base_config(s, gnutella_trace_seeded(s, seed));
-            shift_run_seed(&mut cfg, seed);
-            cfg
-        }),
-        ScenarioPoint::new("OverNet", move |seed| {
-            let mut cfg = base_config(s, overnet_trace_seeded(s, seed));
-            shift_run_seed(&mut cfg, seed);
-            cfg
-        }),
-    ];
-    pts.push(ScenarioPoint::new("Microsoft", move |seed| {
-        let mut cfg = base_config(s, microsoft_trace_seeded(s, seed));
-        if microsoft_hour_windows {
-            cfg.metrics_window_us = HOUR;
-        }
-        shift_run_seed(&mut cfg, seed);
-        cfg
-    }));
-    pts
+    TRACES
+        .into_iter()
+        .map(|(label, trace)| {
+            ScenarioPoint::new(label, move |seed| {
+                let mut cfg = base_config(s, trace(s, seed));
+                if microsoft_hour_windows && label == "Microsoft" {
+                    cfg.metrics_window_us = HOUR;
+                }
+                shift_run_seed(&mut cfg, seed);
+                cfg
+            })
+        })
+        .collect()
 }
 
+/// Fig. 3's summary of a churn trace: its length, the failure-rate window,
+/// mean and median session length, and the band of hourly mean failure
+/// rates (failures per node per second over `window_us` windows; the
+/// minimum ignores hours starting at or before the 2-hour mark).
+fn trace_stats(trace: &Trace, window_us: u64) -> Vec<(&'static str, f64)> {
+    let per_hour = (HOUR / window_us).max(1) as usize;
+    let mut min_rate = f64::MAX;
+    let mut max_rate: f64 = 0.0;
+    for chunk in trace.failure_rate_series(window_us).chunks(per_hour) {
+        let mean = chunk.iter().map(|(_, r)| r).sum::<f64>() / chunk.len() as f64;
+        max_rate = max_rate.max(mean);
+        if chunk[0].0 > 2 * HOUR {
+            min_rate = min_rate.min(mean);
+        }
+    }
+    vec![
+        ("trace_hours", trace.duration_us() as f64 / 3600e6),
+        ("window_min", (window_us / MIN) as f64),
+        ("mean_session_h", trace.mean_session_us() / 3600e6),
+        (
+            "median_session_h",
+            trace.median_session_us() as f64 / 3600e6,
+        ),
+        ("failure_rate_min", min_rate),
+        ("failure_rate_max", max_rate),
+    ]
+}
+
+/// Fig. 3 plots the churn itself, so each point's metrics describe the
+/// *full-scale* trace at the run's seed index whatever the sweep's scale
+/// (generating a trace is cheap). The paper uses hourly windows for the
+/// much longer Microsoft trace and 10-minute windows otherwise.
 fn fig3_points(s: Scale) -> Vec<ScenarioPoint> {
     trace_triple_points(s, false)
+        .into_iter()
+        .zip(TRACES)
+        .map(|(p, (label, trace))| {
+            let window = if label == "Microsoft" { HOUR } else { 10 * MIN };
+            p.with_metrics(move |seed, _| trace_stats(&trace(Scale::Full, seed), window))
+        })
+        .collect()
 }
 
 fn fig4_points(s: Scale) -> Vec<ScenarioPoint> {
@@ -403,6 +462,29 @@ fn fig4_points(s: Scale) -> Vec<ScenarioPoint> {
 
 /// Session-minute values swept by the fig5 scenario.
 pub const FIG5_SESSION_MINUTES: [u64; 6] = PoissonParams::SESSION_MINUTES;
+
+/// The join-latency quantiles each fig5 point reports (Fig. 5 right), in
+/// seconds, with their metric names.
+pub const FIG5_JOIN_QUANTILES: [(&str, f64); 7] = [
+    ("join_latency_q10_s", 0.1),
+    ("join_latency_q25_s", 0.25),
+    ("join_latency_q50_s", 0.5),
+    ("join_latency_q75_s", 0.75),
+    ("join_latency_q90_s", 0.9),
+    ("join_latency_q95_s", 0.95),
+    ("join_latency_q99_s", 0.99),
+];
+
+/// The [`FIG5_JOIN_QUANTILES`] of a run (NaN when no join completed).
+fn join_latency_quantiles(_seed: u64, res: &RunResult) -> Vec<(&'static str, f64)> {
+    FIG5_JOIN_QUANTILES
+        .iter()
+        .map(|&(name, q)| {
+            let us = res.report.join_latency_quantile(q);
+            (name, us.map_or(f64::NAN, |us| us as f64 / 1e6))
+        })
+        .collect()
+}
 
 fn fig5_points(s: Scale) -> Vec<ScenarioPoint> {
     let (mean_nodes, duration) = match s {
@@ -426,6 +508,7 @@ fn fig5_points(s: Scale) -> Vec<ScenarioPoint> {
                 shift_run_seed(&mut cfg, seed);
                 cfg
             })
+            .with_metrics(join_latency_quantiles)
         })
         .collect()
 }
@@ -573,6 +656,18 @@ fn exp_selftuning_points(s: Scale) -> Vec<ScenarioPoint> {
 /// Application lookup rates swept by the suppression scenario.
 pub const SUPPRESSION_RATES: [f64; 4] = [0.0, 0.01, 0.1, 1.0];
 
+/// Liveness probes (`rt-probe` messages) per node-second: the exact count,
+/// since the rt-probes category also carries unsuppressed maintenance.
+fn rt_probe_rate(_seed: u64, res: &RunResult) -> Vec<(&'static str, f64)> {
+    let r = &res.report;
+    let probes = r
+        .fine_counts
+        .iter()
+        .find(|(k, _)| *k == "rt-probe")
+        .map_or(0, |&(_, c)| c);
+    vec![("rt_probes_per_node_per_sec", probes as f64 / r.node_seconds)]
+}
+
 fn exp_suppression_points(s: Scale) -> Vec<ScenarioPoint> {
     SUPPRESSION_RATES
         .iter()
@@ -591,6 +686,7 @@ fn exp_suppression_points(s: Scale) -> Vec<ScenarioPoint> {
                 shift_run_seed(&mut cfg, seed);
                 cfg
             })
+            .with_metrics(rt_probe_rate)
         })
         .collect()
 }
@@ -685,9 +781,8 @@ mod tests {
 
     #[test]
     fn fig6_point_zero_matches_the_legacy_bench_config() {
-        // The published numbers in EXPERIMENTS.md were produced by the
-        // pre-scenario fig6 bench; its exact configuration must fall out of
-        // the registry at seed index 0.
+        // EXPERIMENTS.md reports seed index 0, which must stay the
+        // configuration fig6 has used since before the registry existed.
         let r = Registry::builtin();
         let pts = r.get("fig6_loss").unwrap().expand(Scale::Quick);
         let cfg = (pts[2].build)(0);

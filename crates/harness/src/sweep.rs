@@ -7,16 +7,19 @@
 //! available core). Each run is an independent single-threaded simulation
 //! with its own RNG, metrics and diagnostic registry, so parallelism cannot
 //! perturb results; [`pool::map`] returns results in grid order, so the
-//! aggregation — per-point mean/stddev over seeds plus a merged diagnostic
-//! snapshot — and the rendered artifacts are byte-identical for any worker
-//! count.
+//! aggregation — per-point mean/stddev over seeds of the standard
+//! [`METRIC_NAMES`] and of the point's own figure-specific metrics, each
+//! run's metrics windows, and a merged diagnostic snapshot — and the
+//! rendered artifacts are byte-identical for any worker count.
 
+use crate::artifact::window_json;
+use crate::metrics::N_CATEGORIES;
 use crate::runner::{run, RunResult};
 use crate::scenario::{Scale, Scenario};
 use obs::{JsonWriter, Snapshot};
 
-/// Schema identifier of the aggregated sweep artifact; `mspastry-series/1`
-/// is the single-seed per-figure table the benches emit.
+/// Schema identifier of the aggregated sweep artifact, the repository's
+/// one table schema.
 pub const SWEEP_SCHEMA: &str = "mspastry-series/2";
 
 /// How to execute a sweep.
@@ -65,7 +68,8 @@ pub struct PointSummary {
     pub label: String,
     /// Number of seeds aggregated.
     pub n_seeds: u64,
-    /// Per-metric statistics, in [`METRIC_NAMES`] order.
+    /// Per-metric statistics: [`METRIC_NAMES`] in order, then the point's
+    /// figure-specific metrics ([`crate::ScenarioPoint::metrics`]).
     pub stats: Vec<MetricStat>,
     /// Diagnostic registry snapshots of all seeds, merged (counters summed,
     /// histograms merged).
@@ -89,8 +93,10 @@ pub struct SweepResult {
     pub points: Vec<PointSummary>,
 }
 
-/// The scalar metrics aggregated across seeds, in artifact order.
-pub const METRIC_NAMES: [&str; 11] = [
+/// The standard scalar metrics aggregated across seeds, in artifact order.
+/// The last [`N_CATEGORIES`] are `Report::totals_per_node_per_sec`, one per
+/// [`crate::CATEGORY_NAMES`] entry.
+pub const METRIC_NAMES: [&str; 13 + N_CATEGORIES] = [
     "issued",
     "delivered",
     "incorrect_rate",
@@ -102,12 +108,20 @@ pub const METRIC_NAMES: [&str; 11] = [
     "final_active",
     "ring_defects",
     "mean_t_rt_us",
+    "incorrect",
+    "lost",
+    "totals_per_node_per_sec.distance-probes",
+    "totals_per_node_per_sec.leafset-hb-probes",
+    "totals_per_node_per_sec.rt-probes",
+    "totals_per_node_per_sec.acks-retransmits",
+    "totals_per_node_per_sec.join",
+    "totals_per_node_per_sec.lookups",
 ];
 
-/// The [`METRIC_NAMES`] values of one run, in the same order.
-fn metric_values(r: &RunResult) -> [f64; METRIC_NAMES.len()] {
+/// The [`METRIC_NAMES`] of one run with their values.
+fn standard_metrics(r: &RunResult) -> Vec<(&'static str, f64)> {
     let rep = &r.report;
-    [
+    let scalars = [
         rep.issued as f64,
         rep.delivered as f64,
         rep.incorrect_rate,
@@ -119,7 +133,11 @@ fn metric_values(r: &RunResult) -> [f64; METRIC_NAMES.len()] {
         r.final_active as f64,
         r.ring_defects as f64,
         r.mean_t_rt_us,
-    ]
+        rep.incorrect as f64,
+        rep.lost as f64,
+    ];
+    let values = scalars.into_iter().chain(rep.totals_per_node_per_sec);
+    METRIC_NAMES.into_iter().zip(values).collect()
 }
 
 /// Runs a scenario's full (point × seed) grid and aggregates per point.
@@ -136,8 +154,13 @@ pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
     // Grid index i = point * seeds + seed, so pool::map's order-preserving
     // output is already grouped by point.
     let results = pool::map(cfg.jobs, grid, |i| {
-        let run_cfg = (points[i / seeds].build)((i % seeds) as u64);
-        let res = run(run_cfg);
+        let point = &points[i / seeds];
+        let seed = (i % seeds) as u64;
+        let res = run((point.build)(seed));
+        let mut metrics = standard_metrics(&res);
+        if let Some(f) = &point.metrics {
+            metrics.extend(f(seed, &res));
+        }
         if cfg.progress {
             use std::sync::atomic::Ordering::Relaxed;
             let d = done.fetch_add(1, Relaxed) + 1;
@@ -150,19 +173,27 @@ pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
                 scenario.name,
                 i / seeds + 1,
                 points.len(),
-                points[i / seeds].label,
+                point.label,
                 ev as f64 / elapsed / 1e6,
                 eta,
             );
         }
-        res
+        (res, metrics)
     });
+    let names = |m: &[(&'static str, f64)]| m.iter().map(|&(name, _)| name).collect::<Vec<_>>();
+    assert!(
+        results
+            .iter()
+            .all(|(_, m)| names(m) == names(&results[0].1)),
+        "scenario {}: every run must report the same metrics",
+        scenario.name
+    );
     let mut results = results.into_iter();
     let summaries = points
         .iter()
         .map(|p| {
-            let runs: Vec<RunResult> = results.by_ref().take(seeds).collect();
-            summarize(&p.label, runs)
+            let (runs, metrics) = results.by_ref().take(seeds).unzip();
+            summarize(&p.label, runs, metrics)
         })
         .collect();
     SweepResult {
@@ -174,18 +205,23 @@ pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
     }
 }
 
-/// Aggregates one point's seed runs.
-fn summarize(label: &str, runs: Vec<RunResult>) -> PointSummary {
+/// Aggregates one point's seed runs and their per-seed `(name, value)`
+/// metrics (the same names for every seed).
+fn summarize(
+    label: &str,
+    runs: Vec<RunResult>,
+    metrics: Vec<Vec<(&'static str, f64)>>,
+) -> PointSummary {
     let n = runs.len();
     let mut diag = Snapshot::default();
     for r in &runs {
         diag.merge(&r.diag);
     }
-    let stats = METRIC_NAMES
+    let stats = metrics[0]
         .iter()
         .enumerate()
-        .map(|(m, &name)| {
-            let values: Vec<f64> = runs.iter().map(|r| metric_values(r)[m]).collect();
+        .map(|(m, &(name, _))| {
+            let values: Vec<f64> = metrics.iter().map(|seed| seed[m].1).collect();
             let mean = values.iter().sum::<f64>() / n as f64;
             let stddev = if n > 1 {
                 let var =
@@ -213,8 +249,10 @@ fn summarize(label: &str, runs: Vec<RunResult>) -> PointSummary {
 
 /// Serialises a [`SweepResult`] as one JSON document (schema
 /// [`SWEEP_SCHEMA`]): sweep identity, then per point the seed count, each
-/// metric's per-seed values/mean/stddev, and the merged diagnostic snapshot.
-/// Deterministic: the same runs produce byte-identical output.
+/// metric's per-seed values/mean/stddev, each seed's metrics windows (one
+/// list per seed, as in the run artifact's `report.windows`), and the
+/// merged diagnostic snapshot. Deterministic: the same runs produce
+/// byte-identical output.
 pub fn sweep_json(res: &SweepResult) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -240,6 +278,15 @@ pub fn sweep_json(res: &SweepResult) -> String {
             w.end_object();
         }
         w.end_object();
+        w.key("windows").begin_array();
+        for r in &p.runs {
+            w.begin_array();
+            for win in &r.report.windows {
+                window_json(&mut w, win);
+            }
+            w.end_array();
+        }
+        w.end_array();
         w.key("diag");
         obs::snapshot_json(&mut w, &p.diag);
         w.end_object();
@@ -250,10 +297,12 @@ pub fn sweep_json(res: &SweepResult) -> String {
 }
 
 /// Renders a [`SweepResult`] as CSV: one row per point, with a
-/// `<metric>_mean`/`<metric>_stddev` column pair per aggregated metric.
+/// `<metric>_mean`/`<metric>_stddev` column pair per aggregated metric
+/// (every point of a sweep reports the same metrics).
 pub fn sweep_csv(res: &SweepResult) -> String {
     let mut out = String::from("label,n_seeds");
-    for name in METRIC_NAMES {
+    for s in res.points.first().map_or(&[][..], |p| &p.stats) {
+        let name = s.name;
         out.push_str(&format!(",{name}_mean,{name}_stddev"));
     }
     out.push('\n');
@@ -340,6 +389,61 @@ mod tests {
         assert_eq!(sweep_csv(&a), sweep_csv(&b));
     }
 
+    fn tiny_points_with_metrics(s: Scale) -> Vec<ScenarioPoint> {
+        tiny_points(s)
+            .into_iter()
+            .map(|p| {
+                p.with_metrics(|seed, r| {
+                    vec![
+                        ("seed_index", seed as f64),
+                        ("windows", r.report.windows.len() as f64),
+                    ]
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn point_metrics_follow_the_standard_ones() {
+        let scenario = Scenario {
+            points: tiny_points_with_metrics,
+            ..TINY
+        };
+        let cfg = SweepConfig {
+            seeds: 2,
+            ..SweepConfig::new(Scale::Quick)
+        };
+        let res = run_sweep(&scenario, &cfg);
+        for p in &res.points {
+            let names: Vec<&str> = p.stats.iter().map(|m| m.name).collect();
+            assert_eq!(names[..METRIC_NAMES.len()], METRIC_NAMES);
+            assert_eq!(names[METRIC_NAMES.len()..], ["seed_index", "windows"]);
+            let seed_index = &p.stats[METRIC_NAMES.len()];
+            assert_eq!(seed_index.values, [0.0, 1.0]);
+            assert_eq!(seed_index.mean, 0.5);
+            let windows = &p.stats[METRIC_NAMES.len() + 1].values;
+            for (r, &n) in p.runs.iter().zip(windows) {
+                assert_eq!(r.report.windows.len() as f64, n);
+            }
+        }
+        let csv = sweep_csv(&res);
+        assert!(csv
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with(",windows_mean,windows_stddev"));
+        let json = sweep_json(&res);
+        assert!(json.contains("\"seed_index\":{\"mean\":0.5,"), "{json}");
+    }
+
+    #[test]
+    fn category_metrics_follow_the_category_names() {
+        let categories = &METRIC_NAMES[METRIC_NAMES.len() - N_CATEGORIES..];
+        for (metric, category) in categories.iter().zip(crate::CATEGORY_NAMES) {
+            assert_eq!(*metric, format!("totals_per_node_per_sec.{category}"));
+        }
+    }
+
     #[test]
     fn single_seed_has_zero_stddev() {
         let res = run_sweep(&TINY, &SweepConfig::new(Scale::Quick));
@@ -355,7 +459,7 @@ mod tests {
         let s = sweep_json(&res);
         assert!(s.starts_with(&format!("{{\"schema\":\"{SWEEP_SCHEMA}\"")));
         for key in [
-            "scenario", "figure", "scale", "n_seeds", "points", "metrics", "diag",
+            "scenario", "figure", "scale", "n_seeds", "points", "metrics", "windows", "diag",
         ] {
             assert!(s.contains(&format!("\"{key}\":")), "missing {key}");
         }

@@ -5,7 +5,9 @@ Usage: check_artifact.py RUN_JSON [TRACE_JSONL] [--timeseries TS_JSONL]
 
 Checks that RUN_JSON is a well-formed `mspastry-run/1` document (single
 run) or `mspastry-series/2` document (aggregated multi-seed sweep from
-`--scenario`), that TRACE_JSONL parses line by line, and that at least
+`--scenario`: every point reports the same metrics, and one metrics
+window list per seed with strictly increasing `start_us`), that
+TRACE_JSONL parses line by line, and that at least
 one sampled lookup's hop path can be reconstructed end to end (issue ->
 forwards covering 1..=hops -> deliver, with non-decreasing timestamps
 and an armed RTO on every forward). With --timeseries, also checks the
@@ -37,31 +39,48 @@ def check_sweep(path, doc):
     points = doc["points"]
     if not points:
         fail("sweep has no points")
+    names = list(points[0]["metrics"])
     for p in points:
-        for member in ("label", "n_seeds", "metrics", "diag"):
+        for member in ("label", "n_seeds", "metrics", "windows", "diag"):
             if member not in p:
                 fail(f"point missing {member!r}")
         if p["n_seeds"] != n_seeds:
             fail(f"point {p['label']!r}: n_seeds {p['n_seeds']} != top-level {n_seeds}")
         if not p["metrics"]:
             fail(f"point {p['label']!r} has no metrics")
+        if list(p["metrics"]) != names:
+            fail(f"point {p['label']!r}: metric names differ from the first point's")
         for name, m in p["metrics"].items():
             for member in ("mean", "stddev", "values"):
                 if member not in m:
                     fail(f"metric {name!r} missing {member!r}")
             if len(m["values"]) != n_seeds:
                 fail(f"metric {name!r}: {len(m['values'])} values for {n_seeds} seeds")
+            if None in m["values"]:
+                # A non-finite value (e.g. a quantile of an empty sample) is
+                # written as null, and so is any mean or stddev over it.
+                if m["mean"] is not None:
+                    fail(f"metric {name!r}: null value but mean {m['mean']}")
+                continue
             mean = sum(m["values"]) / n_seeds
             if abs(mean - m["mean"]) > 1e-6 * max(1.0, abs(mean)):
                 fail(f"metric {name!r}: mean {m['mean']} does not match values")
             if m["stddev"] < 0 or (n_seeds == 1 and m["stddev"] != 0):
                 fail(f"metric {name!r}: bad stddev {m['stddev']}")
+        windows = p["windows"]
+        if not isinstance(windows, list) or len(windows) != n_seeds:
+            fail(f"point {p['label']!r}: windows must be one list per seed")
+        for seed, series in enumerate(windows):
+            starts = [w["start_us"] for w in series]
+            if any(b <= a for a, b in zip(starts, starts[1:])):
+                fail(f"point {p['label']!r} seed {seed}: window start_us "
+                     "not strictly increasing")
         diag = p["diag"]
         if "counters" not in diag or "histograms" not in diag:
             fail(f"point {p['label']!r}: diag snapshot missing counters/histograms")
     print(f"check_artifact: {path}: schema ok, scenario={doc['scenario']!r}, "
           f"{len(points)} points x {n_seeds} seeds, "
-          f"{len(points[0]['metrics'])} metrics/point")
+          f"{len(names)} metrics/point")
 
 
 def check_run(path):
