@@ -106,7 +106,7 @@ impl DistanceMeasurer {
         if self.inflight.contains_key(&target) {
             return None;
         }
-        let nonce = self.fresh_nonce();
+        let nonce = fresh_nonce(&mut self.next_nonce);
         self.inflight.insert(
             target,
             Measurement {
@@ -124,11 +124,11 @@ impl DistanceMeasurer {
     /// Issues the next probe of an in-flight measurement (after the spacing
     /// timer); returns its nonce.
     pub fn next_probe(&mut self, target: NodeId, now_us: u64) -> Option<u64> {
-        let nonce = self.fresh_nonce();
         let m = self.inflight.get_mut(&target)?;
         if m.outstanding.is_some() || m.samples.len() as u32 >= m.want {
             return None;
         }
+        let nonce = fresh_nonce(&mut self.next_nonce);
         m.outstanding = Some((nonce, now_us));
         Some(nonce)
     }
@@ -157,14 +157,17 @@ impl DistanceMeasurer {
     }
 
     /// Handles a probe timeout for `(target, nonce)`.
+    ///
+    /// A stale timeout (no measurement, or a nonce that is no longer
+    /// outstanding) changes nothing, not even the nonce counter.
     pub fn on_timeout(&mut self, target: NodeId, nonce: u64, now_us: u64) -> MeasureTimeout {
-        let next = self.fresh_nonce();
         let Some(m) = self.inflight.get_mut(&target) else {
             return MeasureTimeout::Stale;
         };
         match m.outstanding {
             Some((n, _)) if n == nonce => {
                 if !m.retried && m.retry_allowed {
+                    let next = fresh_nonce(&mut self.next_nonce);
                     m.retried = true;
                     m.outstanding = Some((next, now_us));
                     MeasureTimeout::Retry(next)
@@ -187,11 +190,13 @@ impl DistanceMeasurer {
     pub fn cancel(&mut self, target: NodeId) {
         self.inflight.remove(&target);
     }
+}
 
-    fn fresh_nonce(&mut self) -> u64 {
-        self.next_nonce += 1;
-        self.next_nonce
-    }
+/// Advances the nonce counter and returns the new nonce. Only a probe that
+/// is actually sent takes one.
+fn fresh_nonce(next: &mut u64) -> u64 {
+    *next += 1;
+    *next
 }
 
 fn median(samples: &mut [u64]) -> u64 {
@@ -393,6 +398,19 @@ mod tests {
             MeasureTimeout::Abandon(MeasurePurpose::NearestNeighbor, None)
         );
         assert!(dm.is_empty());
+    }
+
+    #[test]
+    fn stale_timeouts_and_probes_do_not_take_a_nonce() {
+        let mut dm = DistanceMeasurer::new();
+        let n = dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).unwrap();
+        // Unknown target, wrong nonce, and a next probe while one is
+        // outstanding: all stale, none may advance the counter.
+        assert_eq!(dm.on_timeout(Id(2), n, 5), MeasureTimeout::Stale);
+        assert_eq!(dm.on_timeout(Id(1), n + 7, 5), MeasureTimeout::Stale);
+        assert_eq!(dm.next_probe(Id(1), 5), None);
+        assert_eq!(dm.next_probe(Id(2), 5), None);
+        assert_eq!(dm.on_timeout(Id(1), n, 10), MeasureTimeout::Retry(n + 1));
     }
 
     #[test]
