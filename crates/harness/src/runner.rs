@@ -346,6 +346,8 @@ struct Runner {
     world: World,
     /// Run-loop self-profiling (only if `RunConfig::profile`).
     prof: Option<Prof>,
+    /// Builds each joining node; tests swap in a variant constructor.
+    make_node: fn(NodeId, Config, Obs) -> Node,
 }
 
 /// The simulator's implementation of the protocol [`Host`] surface, scoped
@@ -412,6 +414,7 @@ impl Runner {
         Runner {
             drivers: Vec::new(),
             prof: cfg.profile.then(Prof::new),
+            make_node: Node::with_obs,
             world: World {
                 net,
                 queue: EventQueue::new(),
@@ -491,6 +494,12 @@ impl Runner {
     }
 
     fn run(mut self) -> RunResult {
+        self.simulate();
+        self.finish()
+    }
+
+    /// Executes every event up to the end of the run.
+    fn simulate(&mut self) {
         self.schedule_trace();
         loop {
             let t_pop = self.prof.as_ref().map(|_| std::time::Instant::now());
@@ -538,6 +547,10 @@ impl Runner {
                 p.profiler.gauge_depth(self.world.queue.len());
             }
         }
+    }
+
+    /// Reads the end-of-run state into the result.
+    fn finish(self) -> RunResult {
         let mut w = self.world;
         // Close the tail window: deltas since the last on-cadence sample.
         if let Some(ts) = w.timeseries.as_mut() {
@@ -618,7 +631,7 @@ impl Runner {
         let ep = w.net.add_endpoint();
         let id = Id::random(&mut w.rng);
         debug_assert_eq!(ep, self.drivers.len());
-        self.drivers.push(Some(Driver::new(Node::with_obs(
+        self.drivers.push(Some(Driver::new((self.make_node)(
             id,
             w.cfg.protocol.clone(),
             w.obs.clone(),
@@ -990,6 +1003,140 @@ mod tests {
         let res = run(quick_config(static_trace(5, 5 * 60 * 1_000_000)));
         assert!(res.timeseries.is_none());
         assert!(res.prof.is_none());
+    }
+
+    /// Runs `cfg` to its end and returns the result plus the number of
+    /// lookup ids held in all live nodes' duplicate windows at that point.
+    fn run_with(cfg: RunConfig, make_node: fn(NodeId, Config, Obs) -> Node) -> (RunResult, usize) {
+        let mut runner = Runner::new(cfg);
+        runner.make_node = make_node;
+        runner.simulate();
+        let held = runner
+            .drivers
+            .iter()
+            .flatten()
+            .map(|d| d.node().duplicate_window_len())
+            .sum();
+        (runner.finish(), held)
+    }
+
+    #[test]
+    fn duplicate_window_size_follows_the_horizon_not_the_run_length() {
+        // A steady overlay under a steady lookup stream: every run length
+        // below is several horizons W, so a window bounded by W holds the
+        // same number of ids at the end of each, where one bounded only by
+        // its id count would hold about 10x more after 10T than after T.
+        let t = 5 * 60 * 1_000_000;
+        assert!(t > 3 * Config::default().duplicate_window_us());
+        let held: Vec<(usize, u64)> = [t, 2 * t, 10 * t]
+            .into_iter()
+            .map(|duration_us| {
+                let mut cfg = quick_config(static_trace(20, duration_us));
+                cfg.workload = Workload::Poisson {
+                    rate_per_node_per_sec: 0.2,
+                };
+                let (res, held) = run_with(cfg, Node::with_obs);
+                assert_eq!(res.final_active, 20);
+                (held, res.report.issued)
+            })
+            .collect();
+        let (first, issued_t) = held[0];
+        assert!(first > 50, "window too empty to be meaningful: {held:?}");
+        assert!(held[2].1 > 8 * issued_t, "run lengths: {held:?}");
+        for &(n, _) in &held {
+            assert!(
+                2 * n < 3 * first && 3 * n > 2 * first,
+                "window size moved with run length: {held:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_duplicate_window_changes_nothing() {
+        // Churn, 3% loss and three blackouts of 2·To: per-hop
+        // retransmissions, reroutes and duplicate copies all happen, and
+        // the run lasts many horizons. It runs under both final-hop
+        // policies with the paper's timings, and under the retry-the-root
+        // policy with the UDP binding's LAN timings too (`lan_config`: W is
+        // 2.2 s there, against a 100 ms initial RTO). Retransmissions to a
+        // silent root go on until its failure verdict or the leaf-set
+        // detection time: the longest chains by design (a 5 s window
+        // already changes the paper-timed run, a 0.275 s one the LAN-timed
+        // run). If retransmission chains ever outlast W, a late copy is
+        // processed again in the bounded run only, and the runs diverge.
+        let min = 60 * 1_000_000;
+        let lan = Config {
+            t_ls_us: 500_000,
+            t_o_us: 200_000,
+            self_tune_period_us: 1_000_000,
+            distance_probe_spacing_us: 20_000,
+            nn_probe_timeout_us: 100_000,
+            rt_maintenance_period_us: 2_000_000,
+            ack_rto_initial_us: 100_000,
+            ack_rto_min_us: 2_000,
+            join_retry_us: 1_000_000,
+            ..Config::default()
+        };
+        let cases = [
+            ("paper timings, exclude root", Config::default()),
+            (
+                "paper timings, retry root",
+                Config {
+                    exclude_root_on_ack_timeout: false,
+                    ..Config::default()
+                },
+            ),
+            (
+                "lan timings, retry root",
+                Config {
+                    exclude_root_on_ack_timeout: false,
+                    ..lan
+                },
+            ),
+        ];
+        let trace = churn::poisson::trace(&churn::poisson::PoissonParams {
+            mean_nodes: 40.0,
+            mean_session_us: 15.0 * 60e6,
+            duration_us: 30 * min,
+            seed: 11,
+        });
+        for (case, protocol) in cases {
+            let mut cfg = quick_config(trace.clone());
+            let blackout = 2 * protocol.t_o_us;
+            cfg.protocol = protocol;
+            cfg.network_loss_rate = 0.03;
+            cfg.outages = [5, 12, 20].map(|m| (m * min, m * min + blackout)).to_vec();
+            cfg.workload = Workload::Poisson {
+                rate_per_node_per_sec: 0.1,
+            };
+            cfg.trace_sample_rate = 1.0;
+            cfg.trace_capacity = 1 << 20;
+            let (bounded, _) = run_with(cfg.clone(), Node::with_obs);
+            let (endless, _) = run_with(cfg.clone(), |id, cfg, obs| {
+                Node::with_duplicate_window(id, cfg, obs, u64::MAX)
+            });
+            let r = &bounded.report;
+            assert!(r.issued > 1_000, "{case}: issued {}", r.issued);
+            // Far fewer lookups than a window's 16,384-id ceiling: it never
+            // binds, so the endless window remembers every id of the run.
+            assert!(r.issued + r.censored < 10_000, "{case}");
+            assert!(bounded.diag.counter("lookup.final-retx") > 0, "{case}");
+            assert!(bounded.diag.counter("lookup.reroutes") > 0, "{case}");
+            assert_eq!(bounded.trace_overwritten, 0, "{case}");
+            assert_eq!(bounded.report, endless.report, "{case}");
+            assert_eq!(bounded.sim_events, endless.sim_events, "{case}");
+            assert_eq!(bounded.diag, endless.diag, "{case}");
+            assert!(
+                bounded.trace_events == endless.trace_events,
+                "hop traces diverged ({case})"
+            );
+            // The world does send copies that must be suppressed: without
+            // a window the run changes.
+            let (none, _) = run_with(cfg, |id, cfg, obs| {
+                Node::with_duplicate_window(id, cfg, obs, 1)
+            });
+            assert_ne!(none.report, endless.report, "{case}: nothing to suppress");
+        }
     }
 
     #[test]

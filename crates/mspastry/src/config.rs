@@ -128,6 +128,21 @@ impl Config {
         (self.max_probe_retries as u64 + 1) * self.t_o_us
     }
 
+    /// Leaf-set failure-detection time `Tls + (r+1)·To` (§4.1): the longest
+    /// a silent leaf-set neighbour goes unnoticed. It also bounds how long
+    /// a node retransmits one lookup to the same root (DESIGN.md §3).
+    pub fn leaf_set_detection_us(&self) -> u64 {
+        self.t_ls_us.saturating_add(self.t_rt_floor_us())
+    }
+
+    /// Duplicate-suppression horizon `W = 2·(Tls + (r+1)·To)`: how long a
+    /// node remembers a lookup id so that later copies (§3.2
+    /// retransmissions and reroutes) are acked but not processed again.
+    /// Derived in DESIGN.md §3; 78 s with the defaults.
+    pub fn duplicate_window_us(&self) -> u64 {
+        self.leaf_set_detection_us().saturating_mul(2)
+    }
+
     /// Validates parameter combinations.
     ///
     /// # Errors
@@ -180,6 +195,13 @@ mod tests {
     fn floor_is_retries_plus_one_times_to() {
         let c = Config::default();
         assert_eq!(c.t_rt_floor_us(), 9 * SECOND_US);
+    }
+
+    #[test]
+    fn duplicate_window_is_two_leaf_set_detection_times() {
+        let c = Config::default();
+        assert_eq!(c.leaf_set_detection_us(), 39 * SECOND_US);
+        assert_eq!(c.duplicate_window_us(), 78 * SECOND_US);
     }
 
     #[test]

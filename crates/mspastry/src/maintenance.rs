@@ -39,6 +39,9 @@ impl Maintenance {
 
 impl Node {
     pub(crate) fn on_heartbeat_tick(&mut self, fx: &mut Effects) {
+        // The one periodic timer every node runs, whatever its
+        // configuration: release duplicate-window memory on it.
+        self.reliability.seen.trim(self.ctx.now_us);
         if !self.ctx.active {
             fx.timer(self.ctx.cfg.t_ls_us, TimerKind::Heartbeat);
             return;

@@ -31,7 +31,7 @@ use crate::leaf_set::LeafSet;
 use crate::maintenance::Maintenance;
 use crate::measurement::Measurement;
 use crate::messages::{LookupId, Message};
-use crate::reliability::Reliability;
+use crate::reliability::{DuplicateWindow, Reliability};
 use crate::routing_table::RoutingTable;
 use obs::{HopEvent, HopKind};
 use rand::rngs::SmallRng;
@@ -116,7 +116,7 @@ impl Node {
             rt: RoutingTable::new(id, b),
             ls: LeafSet::new(id, half),
             consistency: Consistency::new(),
-            reliability: Reliability::new(),
+            reliability: Reliability::new(&cfg),
             maintenance,
             measurement: Measurement::new(),
             ctx: Ctx {
@@ -128,6 +128,17 @@ impl Node {
                 obs: NodeObs::new(obs),
             },
         }
+    }
+
+    /// Like [`Node::with_obs`], but with a duplicate horizon of
+    /// `horizon_us` instead of [`Config::duplicate_window_us`] (`u64::MAX`
+    /// never forgets an id). Only for tests that check the derived horizon
+    /// suppresses exactly what an endless one would.
+    #[doc(hidden)]
+    pub fn with_duplicate_window(id: NodeId, cfg: Config, obs: obs::Obs, horizon_us: u64) -> Self {
+        let mut node = Self::with_obs(id, cfg, obs);
+        node.reliability.seen = DuplicateWindow::new(horizon_us);
+        node
     }
 
     /// This node's identifier.
@@ -164,6 +175,13 @@ impl Node {
     /// outstanding) — a liveness diagnostic for health endpoints.
     pub fn suspected_count(&self) -> usize {
         self.reliability.suspected.len()
+    }
+
+    /// Lookup ids held in the duplicate-suppression window (a memory
+    /// diagnostic: it follows the horizon
+    /// [`Config::duplicate_window_us`], not the run length).
+    pub fn duplicate_window_len(&self) -> usize {
+        self.reliability.seen.len()
     }
 
     /// Handles one event at time `now_us`, appending outputs to `fx`.

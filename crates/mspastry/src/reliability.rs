@@ -7,6 +7,7 @@
 //! excludes the suspect and exploits a redundant route. Nodes are only
 //! *suspected* here — confirming a failure is the consistency layer's job.
 
+use crate::config::Config;
 use crate::diag::ProbeCause;
 use crate::events::{Action, DropReason, Effects, TimerKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -19,7 +20,78 @@ use crate::rto::RtoTable;
 use obs::{HopKind, NO_PEER};
 use std::collections::VecDeque;
 
+/// Hard ceiling on a node's duplicate window, whatever its horizon: a flood
+/// of fresh lookup ids inside one horizon (say, from hostile UDP input)
+/// evicts the oldest instead of growing the window.
 pub(crate) const SEEN_CAP: usize = 16_384;
+
+/// The lookups a node has seen within the last `horizon_us` (the
+/// duplicate horizon `W`, [`crate::Config::duplicate_window_us`]): a copy
+/// that arrives inside it is acked but not processed again. Ids are noted
+/// in clock order, so the FIFO's front is always the oldest and expiry pops
+/// from it; every query expires first, so the answer is exactly "seen
+/// within `W`" however often the window is trimmed.
+#[derive(Debug)]
+pub(crate) struct DuplicateWindow {
+    horizon_us: u64,
+    ids: FxHashSet<LookupId>,
+    order: VecDeque<(u64, LookupId)>,
+}
+
+impl DuplicateWindow {
+    pub(crate) fn new(horizon_us: u64) -> Self {
+        DuplicateWindow {
+            horizon_us,
+            ids: FxHashSet::default(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// Notes `id` as seen at `now_us`. Returns `false` if it was already
+    /// seen within the horizon, i.e. this is a duplicate copy.
+    pub(crate) fn note(&mut self, id: LookupId, now_us: u64) -> bool {
+        self.expire(now_us);
+        if !self.ids.insert(id) {
+            return false;
+        }
+        self.order.push_back((now_us, id));
+        if self.order.len() > SEEN_CAP {
+            if let Some((_, old)) = self.order.pop_front() {
+                self.ids.remove(&old);
+            }
+        }
+        true
+    }
+
+    /// Forgets every id noted `horizon_us` or longer before `now_us`.
+    fn expire(&mut self, now_us: u64) {
+        while let Some(&(at, id)) = self.order.front() {
+            if now_us.saturating_sub(at) < self.horizon_us {
+                break;
+            }
+            self.order.pop_front();
+            self.ids.remove(&id);
+        }
+    }
+
+    /// Expires old ids and, once the live count has fallen well below the
+    /// allocated capacity (hash tables never shrink by themselves), gives
+    /// the excess back, so memory follows the window rather than its
+    /// busiest moment.
+    pub(crate) fn trim(&mut self, now_us: u64) {
+        self.expire(now_us);
+        let len = self.ids.len();
+        if self.ids.capacity() > 4 * len {
+            self.ids.shrink_to(2 * len);
+            self.order.shrink_to(2 * len);
+        }
+    }
+
+    /// Ids currently stored.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+}
 
 /// A lookup buffered or in flight at this node, awaiting a per-hop ack.
 #[derive(Debug, Clone)]
@@ -35,6 +107,9 @@ pub(crate) struct PendingLookup {
     pub(crate) reroutes: u32,
     pub(crate) next: NodeId,
     pub(crate) sent_at_us: u64,
+    /// When this node first sent the lookup to `next`; same-root
+    /// retransmissions keep it, so it dates the whole chain.
+    pub(crate) first_sent_us: u64,
 }
 
 /// A lookup buffered while the node is still joining.
@@ -53,35 +128,21 @@ pub(crate) struct BufferedLookup {
 pub(crate) struct Reliability {
     pub(crate) suspected: FxHashSet<NodeId>,
     pub(crate) pending: FxHashMap<LookupId, PendingLookup>,
-    pub(crate) seen: FxHashSet<LookupId>,
-    pub(crate) seen_order: VecDeque<LookupId>,
+    pub(crate) seen: DuplicateWindow,
     pub(crate) buffered: Vec<BufferedLookup>,
     pub(crate) lookup_seq: u64,
     pub(crate) rtos: RtoTable,
 }
 
 impl Reliability {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(cfg: &Config) -> Self {
         Reliability {
             suspected: FxHashSet::default(),
             pending: FxHashMap::default(),
-            seen: FxHashSet::default(),
-            seen_order: VecDeque::new(),
+            seen: DuplicateWindow::new(cfg.duplicate_window_us()),
             buffered: Vec::new(),
             lookup_seq: 0,
             rtos: RtoTable::new(),
-        }
-    }
-
-    /// Records a lookup id in the capped duplicate-suppression window.
-    pub(crate) fn note_seen(&mut self, id: LookupId) {
-        if self.seen.insert(id) {
-            self.seen_order.push_back(id);
-            while self.seen_order.len() > SEEN_CAP {
-                if let Some(old) = self.seen_order.pop_front() {
-                    self.seen.remove(&old);
-                }
-            }
         }
     }
 }
@@ -95,7 +156,7 @@ impl Node {
             src: self.ctx.id,
             seq: self.reliability.lookup_seq,
         };
-        self.reliability.note_seen(id);
+        self.reliability.seen.note(id, self.ctx.now_us);
         if self.ctx.obs.sampled(id) {
             let ev = self.ctx.hop_ev(id, HopKind::Issue, NO_PEER, 0, 0, 0, "");
             self.ctx.obs.hop(ev);
@@ -186,10 +247,9 @@ impl Node {
         if self.ctx.cfg.per_hop_acks && wants_acks {
             self.send(from, Message::Ack { id }, fx);
         }
-        if self.reliability.seen.contains(&id) {
-            return; // duplicate copy of a rerouted lookup
+        if !self.reliability.seen.note(id, self.ctx.now_us) {
+            return; // duplicate copy of a retransmitted or rerouted lookup
         }
-        self.reliability.note_seen(id);
         if !self.ctx.active {
             self.buffer_lookup(
                 BufferedLookup {
@@ -341,6 +401,7 @@ impl Node {
                     reroutes,
                     next,
                     sent_at_us: self.ctx.now_us,
+                    first_sent_us: self.ctx.now_us,
                 },
             );
             fx.timer(
@@ -414,7 +475,16 @@ impl Node {
             } else {
                 4 + 3 * (self.ctx.cfg.max_probe_retries + 1)
             };
-            if attempt <= budget {
+            // The extended budget only has to outlast the root's failure
+            // verdict, due `(r+1)·To` after the first missed ack. A root
+            // that answers probes but whose acks never arrive would
+            // otherwise be retried for ~95 RTOs, however long the RTO has
+            // grown; stopping at the leaf-set detection time bounds every
+            // chain by the configuration, so the duplicate horizon covers
+            // it (DESIGN.md §3).
+            let in_time = self.ctx.now_us.saturating_sub(p.first_sent_us)
+                < self.ctx.cfg.leaf_set_detection_us();
+            if attempt <= budget && in_time {
                 self.ctx.obs.final_retx();
                 self.ctx.obs.retx_attempt(attempt);
                 let rto = self
@@ -547,23 +617,78 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::events::Event;
     use crate::id::Id;
 
+    const W: u64 = 10_000_000;
+
+    fn lid(seq: u64) -> LookupId {
+        LookupId { src: Id(1), seq }
+    }
+
+    #[test]
+    fn copy_inside_the_horizon_is_suppressed() {
+        let mut w = DuplicateWindow::new(W);
+        assert!(w.note(lid(1), 0));
+        assert!(!w.note(lid(1), 1), "immediate copy");
+        assert!(!w.note(lid(1), W - 1), "copy just inside W");
+        assert_eq!(w.len(), 1, "a duplicate does not grow the window");
+        assert_eq!(w.order.len(), 1, "nor its expiry queue");
+        assert!(w.note(lid(2), W - 1), "a fresh id is new");
+    }
+
+    #[test]
+    fn id_older_than_the_horizon_is_forgotten() {
+        let mut w = DuplicateWindow::new(W);
+        assert!(w.note(lid(1), 0));
+        assert!(w.note(lid(2), W / 2));
+        // At exactly W the first id has left the window, the second not.
+        assert!(w.note(lid(1), W), "expired id counts as unseen");
+        assert!(!w.note(lid(2), W));
+        assert_eq!(w.len(), 2);
+        // Expiry does not wait for a trim: only live ids remain stored.
+        assert!(w.note(lid(3), 3 * W));
+        assert_eq!(w.len(), 1);
+    }
+
     #[test]
     fn seen_window_is_capped_and_evicts_oldest() {
-        let mut r = Reliability::new();
-        let id = |seq| LookupId { src: Id(1), seq };
-        for seq in 0..(SEEN_CAP as u64 + 5) {
-            r.note_seen(id(seq));
+        let mut w = DuplicateWindow::new(W);
+        let n = SEEN_CAP as u64 + 5;
+        for seq in 0..n {
+            assert!(w.note(lid(seq), 1));
         }
-        assert_eq!(r.seen.len(), SEEN_CAP);
-        assert!(!r.seen.contains(&id(0)), "oldest entries evicted");
-        assert!(r.seen.contains(&id(SEEN_CAP as u64 + 4)));
-        // Re-noting a seen id must not grow the order queue.
-        r.note_seen(id(SEEN_CAP as u64 + 4));
-        assert_eq!(r.seen_order.len(), SEEN_CAP);
+        assert_eq!(w.len(), SEEN_CAP);
+        assert_eq!(w.order.len(), SEEN_CAP);
+        assert!(w.note(lid(0), 2), "oldest ids evicted by the ceiling");
+        assert!(!w.note(lid(n - 1), 2), "newest ids kept");
+    }
+
+    #[test]
+    fn capacity_shrinks_after_a_burst_then_quiet() {
+        let mut w = DuplicateWindow::new(W);
+        for seq in 0..10_000 {
+            w.note(lid(seq), seq);
+        }
+        assert!(w.ids.capacity() >= 10_000);
+        // Quiet for a horizon, then a trickle of traffic.
+        w.note(lid(20_000), 2 * W);
+        w.trim(2 * W);
+        assert_eq!(w.len(), 1);
+        assert!(w.ids.capacity() < 64, "capacity {}", w.ids.capacity());
+        assert!(w.order.capacity() < 64, "capacity {}", w.order.capacity());
+        // A steady window is left alone.
+        let cap = w.ids.capacity();
+        w.trim(2 * W + 1);
+        assert_eq!(w.ids.capacity(), cap);
+    }
+
+    #[test]
+    fn endless_horizon_never_forgets() {
+        let mut w = DuplicateWindow::new(u64::MAX);
+        assert!(w.note(lid(1), 0));
+        w.trim(u64::MAX / 2);
+        assert!(!w.note(lid(1), u64::MAX / 2));
     }
 
     #[test]

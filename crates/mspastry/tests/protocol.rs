@@ -63,15 +63,19 @@ fn step(node: &mut Node, now: u64, event: Event) -> Vec<Action> {
 
 /// Builds a small active overlay of three nodes for handler tests.
 fn trio() -> (Vec<Node>, [NodeId; 3]) {
+    trio_with(cfg())
+}
+
+fn trio_with(cfg: Config) -> (Vec<Node>, [NodeId; 3]) {
     let ids = [Id(10 << 100), Id(200 << 100), Id(300 << 100)];
-    let mut a = Node::new(ids[0], cfg());
+    let mut a = Node::new(ids[0], cfg.clone());
     let mut fx = Effects::new();
     a.handle(0, Event::Join { seed: None }, &mut fx);
-    let mut b = Node::new(ids[1], cfg());
+    let mut b = Node::new(ids[1], cfg.clone());
     let qb = start_join(&mut b, Some(ids[0]), 1);
     let mut nodes = vec![a, b];
     pump(&mut nodes, qb, 2);
-    let mut c = Node::new(ids[2], cfg());
+    let mut c = Node::new(ids[2], cfg);
     let qc = start_join(&mut c, Some(ids[0]), 3);
     nodes.push(c);
     pump(&mut nodes, qc, 4);
@@ -274,6 +278,63 @@ fn ack_timeout_reroutes_after_retx_budget() {
         ) || matches!(a, Action::Deliver { .. })
     });
     assert!(resolved, "lookup resolved after budget: {actions:?}");
+}
+
+#[test]
+fn root_retransmissions_stop_at_the_leaf_set_detection_time() {
+    // The consistency-first policy retries a silent root until its failure
+    // verdict. Here the root's probe never resolves (it "answers probes"
+    // while every ack is lost), so only the chain's time limit ends it,
+    // long before the 13-attempt budget runs out.
+    let (mut nodes, ids) = trio_with(Config {
+        exclude_root_on_ack_timeout: false,
+        ..cfg()
+    });
+    let b_id = ids[1];
+    let key = Id((200 << 100) + 1);
+    let first_sent = 100;
+    let id = step(&mut nodes[0], first_sent, Event::Lookup { key, payload: 9 })
+        .into_iter()
+        .find_map(|a| match a {
+            Action::Send {
+                to,
+                msg: Message::Lookup { id, .. },
+            } if to == b_id => Some(id),
+            _ => None,
+        })
+        .expect("lookup forwarded to the root b");
+    let limit = nodes[0].config().leaf_set_detection_us();
+    let timeout = |node: &mut Node, now, attempt| {
+        step(
+            node,
+            now,
+            Event::Timer(TimerKind::AckTimeout {
+                lookup: id,
+                attempt,
+            }),
+        )
+    };
+    let copy_to_root = |actions: &[Action]| {
+        actions
+            .iter()
+            .any(|a| matches!(a, Action::Send { to, msg: Message::Lookup { .. } } if *to == b_id))
+    };
+    let a0 = timeout(&mut nodes[0], first_sent + 1_000_000, 0);
+    assert!(copy_to_root(&a0), "first timeout retransmits: {a0:?}");
+    let a1 = timeout(&mut nodes[0], first_sent + limit - 1, 1);
+    assert!(copy_to_root(&a1), "still inside the limit: {a1:?}");
+    let a2 = timeout(&mut nodes[0], first_sent + limit, 2);
+    assert!(!copy_to_root(&a2), "no copy once the limit has passed");
+    assert!(
+        a2.iter().any(|a| matches!(
+            a,
+            Action::LookupDropped {
+                reason: DropReason::TooManyReroutes,
+                ..
+            }
+        )),
+        "chain ends as when the budget runs out: {a2:?}"
+    );
 }
 
 #[test]
