@@ -65,7 +65,7 @@ fn bench_route(c: &mut Criterion) {
         b.iter(|| {
             let mut local = 0;
             for &k in &keys {
-                if route(&rt, &ls, k, &|_| false) == NextHop::Local {
+                if route(&rt, &ls, k, |_| false) == NextHop::Local {
                     local += 1;
                 }
             }

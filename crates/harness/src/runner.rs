@@ -373,8 +373,8 @@ impl Host for SimHost<'_> {
         );
     }
 
-    fn deliver(&mut self, delivery: Delivery) {
-        self.world.apply_deliver(self.now, self.ep, delivery);
+    fn deliver(&mut self, delivery: Delivery, node: &Node) {
+        self.world.apply_deliver(self.now, self.ep, delivery, node);
     }
 
     fn became_active(&mut self) {
@@ -800,7 +800,7 @@ impl World {
         }
     }
 
-    fn apply_deliver(&mut self, now: u64, ep: EndpointId, d: Delivery) {
+    fn apply_deliver(&mut self, now: u64, ep: EndpointId, d: Delivery, node: &Node) {
         let deliverer = self.node_ids[ep];
         let correct = self.oracle.root_of(d.key) == Some(deliverer);
         // Identifiers are never removed from `ep_of_id`, so the issuer's
@@ -817,8 +817,8 @@ impl World {
             self.obs.record(self.h_hops, d.hops as u64);
         }
         if self.cfg.record_deliveries {
-            let replica_sessions = d
-                .replica_set
+            let replica_sessions = node
+                .replica_set(d.key)
                 .iter()
                 .filter_map(|id| self.ep_of_id.get(&id.0))
                 .map(|&e| self.session_of_ep[e])
@@ -1143,9 +1143,38 @@ mod tests {
     fn deliveries_are_recorded_when_requested() {
         let mut cfg = quick_config(static_trace(10, 10 * 60 * 1_000_000));
         cfg.record_deliveries = true;
-        let res = run(cfg);
+        let warmup_us = cfg.warmup_us;
+        let mut runner = Runner::new(cfg);
+        runner.simulate();
+        let w = &runner.world;
+        let mut ring: Vec<(NodeId, usize)> = w
+            .node_ids
+            .iter()
+            .copied()
+            .zip(w.session_of_ep.iter().copied())
+            .collect();
+        let res = runner.finish();
         assert_eq!(res.deliveries.len() as u64, res.report.delivered);
         assert!(res.deliveries.iter().all(|d| d.correct));
+        // Once converged, every leaf set holds the other nine nodes, so the
+        // replica set is the 8 other sessions closest to the key on the
+        // true ring, in (ring distance, id) order.
+        let converged: Vec<&DeliveryRecord> = res
+            .deliveries
+            .iter()
+            .filter(|d| d.issued_at_us >= warmup_us)
+            .collect();
+        assert!(!converged.is_empty());
+        for d in converged {
+            ring.sort_by_key(|&(id, _)| (id.ring_dist(d.key), id.0));
+            let closest: Vec<usize> = ring
+                .iter()
+                .map(|&(_, s)| s)
+                .filter(|&s| s != d.session)
+                .take(8)
+                .collect();
+            assert_eq!(d.replica_sessions, closest, "key {:?}", d.key);
+        }
     }
 
     #[test]

@@ -221,8 +221,7 @@ impl Node {
         if !rows[max_row].contains(&self.ctx.id) {
             rows[max_row].push(self.ctx.id);
         }
-        let excluded = self.excluded_set(&[]);
-        match route(&self.rt, &self.ls, joiner, &|n| excluded.contains(&n)) {
+        match route(&self.rt, &self.ls, joiner, self.reliability.excludes(&[])) {
             NextHop::Local => {
                 if self.ctx.active {
                     let mut leaf_set = self.ls.members();

@@ -9,7 +9,10 @@
 //!
 //! * [`Host`] is the narrow wire/clock/application surface a deployment must
 //!   provide — send a message, arm a one-shot timer, hand a delivery to the
-//!   application, observe activation and drops.
+//!   application, observe activation and drops. A delivery comes with a
+//!   borrow of the delivering [`Node`], so state only some applications
+//!   need, such as [`Node::replica_set`], is computed by the host that
+//!   reads it and by no other.
 //! * [`Driver`] owns the [`Node`] plus a reusable action buffer and runs the
 //!   interpretation loop allocation-free: `step` swaps the buffer into the
 //!   node's [`Effects`], dispatches each resulting action to the host, and
@@ -44,9 +47,6 @@ pub struct Delivery {
     pub hops: u32,
     /// When the lookup was issued, microseconds.
     pub issued_at_us: u64,
-    /// The deliverer's leaf-set members closest to the key (up to 8), for
-    /// application-level replication.
-    pub replica_set: Vec<NodeId>,
 }
 
 /// What a deployment must provide for the protocol core to run on it: a wire
@@ -59,8 +59,10 @@ pub trait Host {
     /// `delay_us` microseconds from the current event's time. Timers are
     /// never cancelled; stale ones are ignored by the node.
     fn set_timer(&mut self, delay_us: u64, kind: TimerKind);
-    /// A lookup was delivered at this node (it is the key's root).
-    fn deliver(&mut self, delivery: Delivery);
+    /// A lookup was delivered at this node (it is the key's root). `node`
+    /// is the deliverer as it stands after the event, for whatever the
+    /// application reads on demand, such as [`Node::replica_set`].
+    fn deliver(&mut self, delivery: Delivery, node: &Node);
     /// The node completed its join and became active.
     fn became_active(&mut self);
     /// A lookup was dropped; reported for loss accounting.
@@ -110,15 +112,16 @@ impl Driver {
                     payload,
                     hops,
                     issued_at_us,
-                    replica_set,
-                } => host.deliver(Delivery {
-                    id,
-                    key,
-                    payload,
-                    hops,
-                    issued_at_us,
-                    replica_set,
-                }),
+                } => host.deliver(
+                    Delivery {
+                        id,
+                        key,
+                        payload,
+                        hops,
+                        issued_at_us,
+                    },
+                    &self.node,
+                ),
                 Action::BecameActive => host.became_active(),
                 Action::LookupDropped { id, reason } => host.lookup_dropped(id, reason),
             }
@@ -183,7 +186,7 @@ mod tests {
         fn set_timer(&mut self, delay_us: u64, kind: TimerKind) {
             self.timers.push((delay_us, kind));
         }
-        fn deliver(&mut self, delivery: Delivery) {
+        fn deliver(&mut self, delivery: Delivery, _node: &Node) {
             self.delivered.push(delivery);
         }
         fn became_active(&mut self) {

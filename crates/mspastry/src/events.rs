@@ -5,6 +5,11 @@
 //! current clock value and executes the [`Action`]s it emits. Timers are
 //! one-shot and never cancelled; a fired timer that is no longer relevant is
 //! simply ignored by the node.
+//!
+//! An action carries only what every host consumes. [`Action::Deliver`]
+//! names the lookup, not the replica set of its key: a host that stores
+//! data asks the node for [`crate::Node::replica_set`] when the driver
+//! hands it the delivery ([`crate::driver::Host::deliver`]).
 
 use crate::id::{Key, NodeId};
 use crate::messages::{LookupId, Message, Payload};
@@ -111,11 +116,6 @@ pub enum Action {
         hops: u32,
         /// When the lookup was issued, microseconds.
         issued_at_us: u64,
-        /// The deliverer's current leaf-set members closest to the key, in
-        /// ring-distance order (up to 8). Storage applications replicate
-        /// onto these nodes, PAST-style, so the value survives the root's
-        /// failure: the next root is one of them.
-        replica_set: Vec<NodeId>,
     },
     /// The node completed its join and became active.
     BecameActive,

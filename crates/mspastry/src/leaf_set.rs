@@ -314,13 +314,17 @@ impl LeafSet {
     /// for which `excluded` returns `true` (the local node is never
     /// excluded).
     pub fn closest_to(&self, key: Key, excluded: impl Fn(NodeId) -> bool) -> NodeId {
-        let mut best = self.own;
-        for m in self.left.iter().chain(self.right.iter()) {
-            if !excluded(*m) {
-                best = closer_to(key, best, *m);
-            }
+        let members = || self.left.iter().chain(self.right.iter()).copied();
+        // `closer_to` is a strict total order (ties break by id), so when the
+        // unconstrained winner is admissible it also wins the filtered scan:
+        // the common case asks `excluded` once.
+        let best = members().fold(self.own, |b, m| closer_to(key, b, m));
+        if best == self.own || !excluded(best) {
+            return best;
         }
-        best
+        members()
+            .filter(|&m| !excluded(m))
+            .fold(self.own, |b, m| closer_to(key, b, m))
     }
 }
 
@@ -419,28 +423,40 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..50 {
+        for round in 0..300 {
             let own = Id::random(&mut rng);
-            let mut s = LeafSet::new(own, 4);
-            let mut all = vec![own];
-            for _ in 0..12 {
-                let id = Id::random(&mut rng);
-                s.add(id);
-                all.push(id);
+            // Small sets wrap the ring, so some members sit on both sides.
+            let mut s = LeafSet::new(own, 1 + round % 4);
+            for _ in 0..(round % 13) {
+                s.add(Id::random(&mut rng));
             }
             let key = Id::random(&mut rng);
-            let members: Vec<NodeId> = {
-                let mut m = s.members();
-                m.push(own);
-                m
+            let mut members = s.members();
+            members.push(own);
+            // Filter, then reduce; the local node is never excluded.
+            let naive = |excluded: &dyn Fn(NodeId) -> bool| {
+                members
+                    .iter()
+                    .copied()
+                    .filter(|&m| m == own || !excluded(m))
+                    .reduce(|a, b| closer_to(key, a, b))
+                    .unwrap()
             };
-            let naive = members
+            let winner = naive(&|_| false);
+            assert_eq!(s.closest_to(key, |_| false), winner);
+            // Excluding the unconstrained winner forces the filtered scan.
+            let not_winner = |n: NodeId| n == winner;
+            assert_eq!(s.closest_to(key, not_winner), naive(&not_winner));
+            // A random subset, sometimes naming the local node too.
+            let subset: Vec<NodeId> = members
                 .iter()
                 .copied()
-                .reduce(|a, b| closer_to(key, a, b))
-                .unwrap();
-            assert_eq!(s.closest_to(key, |_| false), naive);
-            let _ = rng.gen::<bool>();
+                .filter(|_| rng.gen_bool(0.4))
+                .collect();
+            let in_subset = |n: NodeId| subset.contains(&n);
+            assert_eq!(s.closest_to(key, in_subset), naive(&in_subset));
+            let all = |_: NodeId| true;
+            assert_eq!(s.closest_to(key, all), own);
         }
     }
 

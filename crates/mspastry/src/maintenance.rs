@@ -3,8 +3,8 @@
 //! routing-table maintenance, and the self-tuning tick that recomputes the
 //! probing period `T_rt` from the observed failure rate.
 //!
-//! Probe suppression lives here too: regular traffic recorded in
-//! `last_heard`/`last_sent` postpones heartbeats and skips liveness probes.
+//! Probe suppression lives here too: regular traffic recorded in the
+//! per-peer `traffic` map postpones heartbeats and skips liveness probes.
 
 use crate::config::Config;
 use crate::diag::ProbeCause;
@@ -17,11 +17,36 @@ use crate::probes::ProbeKind;
 use crate::tuning::SelfTuner;
 use rand::Rng;
 
+/// When this node last heard from and last sent to one peer. [`NEVER`]
+/// marks a stamp that is not set, which keeps an entry at 32 bytes with its
+/// key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Traffic {
+    heard: u64,
+    sent: u64,
+}
+
+/// The stamp of a direction with no traffic (no clock reaches it).
+const NEVER: u64 = u64::MAX;
+
+impl Traffic {
+    const NONE: Traffic = Traffic {
+        heard: NEVER,
+        sent: NEVER,
+    };
+}
+
+/// The stamp `t` if it is set.
+fn stamp(t: u64) -> Option<u64> {
+    (t != NEVER).then_some(t)
+}
+
 /// Timer/traffic bookkeeping owned by the maintenance layer.
 #[derive(Debug)]
 pub(crate) struct Maintenance {
-    pub(crate) last_heard: FxHashMap<NodeId, u64>,
-    pub(crate) last_sent: FxHashMap<NodeId, u64>,
+    /// Per-peer traffic stamps: one entry serves both the receive of a
+    /// lookup and the ack sent right after it.
+    traffic: FxHashMap<NodeId, Traffic>,
     pub(crate) tuner: SelfTuner,
     pub(crate) t_rt_us: u64,
 }
@@ -29,11 +54,48 @@ pub(crate) struct Maintenance {
 impl Maintenance {
     pub(crate) fn new(cfg: &Config) -> Self {
         Maintenance {
-            last_heard: FxHashMap::default(),
-            last_sent: FxHashMap::default(),
+            traffic: FxHashMap::default(),
             tuner: SelfTuner::new(cfg, 0),
             t_rt_us: cfg.fixed_t_rt_us,
         }
+    }
+
+    /// Stamps a message received from `peer` at `now_us`.
+    pub(crate) fn heard(&mut self, peer: NodeId, now_us: u64) {
+        self.traffic.entry(peer).or_insert(Traffic::NONE).heard = now_us;
+    }
+
+    /// Stamps a message sent to `peer` at `now_us`.
+    pub(crate) fn sent(&mut self, peer: NodeId, now_us: u64) {
+        self.traffic.entry(peer).or_insert(Traffic::NONE).sent = now_us;
+    }
+
+    /// When `peer` was last heard from, if ever (since its last pruning).
+    pub(crate) fn last_heard(&self, peer: NodeId) -> Option<u64> {
+        self.traffic.get(&peer).and_then(|t| stamp(t.heard))
+    }
+
+    /// When this node last sent to `peer`, if ever (since its last pruning).
+    pub(crate) fn last_sent(&self, peer: NodeId) -> Option<u64> {
+        self.traffic.get(&peer).and_then(|t| stamp(t.sent))
+    }
+
+    /// Forgets every stamp of a peer outside `keep` that is `horizon_us` or
+    /// older, each direction on its own, and drops entries left with none.
+    fn prune(&mut self, keep: &FxHashSet<NodeId>, now_us: u64, horizon_us: u64) {
+        let fresh = |t: u64| t != NEVER && now_us.saturating_sub(t) < horizon_us;
+        self.traffic.retain(|n, t| {
+            if keep.contains(n) {
+                return true;
+            }
+            if !fresh(t.heard) {
+                t.heard = NEVER;
+            }
+            if !fresh(t.sent) {
+                t.sent = NEVER;
+            }
+            *t != Traffic::NONE
+        });
     }
 }
 
@@ -54,9 +116,8 @@ impl Node {
         if let Some(left) = self.ls.left_neighbor() {
             let due = if self.ctx.cfg.probe_suppression {
                 self.maintenance
-                    .last_sent
-                    .get(&left)
-                    .map(|&t| t.saturating_add(self.ctx.cfg.t_ls_us))
+                    .last_sent(left)
+                    .map(|t| t.saturating_add(self.ctx.cfg.t_ls_us))
                     .unwrap_or(self.ctx.now_us)
             } else {
                 self.ctx.now_us
@@ -70,12 +131,7 @@ impl Node {
         }
         fx.timer(next_tick, TimerKind::Heartbeat);
         if let Some(right) = self.ls.right_neighbor() {
-            let last = self
-                .maintenance
-                .last_heard
-                .get(&right)
-                .copied()
-                .unwrap_or(0);
+            let last = self.maintenance.last_heard(right).unwrap_or(0);
             if self.ctx.now_us.saturating_sub(last) > self.ctx.cfg.t_ls_us + self.ctx.cfg.t_o_us {
                 // SUSPECT-FAULTY (Fig. 2): silence from the right neighbour.
                 if self.probe(right, ProbeKind::LeafSet, true, fx) {
@@ -95,11 +151,11 @@ impl Node {
         }
         let targets: Vec<NodeId> = self.rt.entries().map(|e| e.id).collect();
         for j in targets {
-            let suppressed =
-                self.ctx.cfg.probe_suppression
-                    && self.maintenance.last_heard.get(&j).is_some_and(|&t| {
-                        self.ctx.now_us.saturating_sub(t) < self.maintenance.t_rt_us
-                    });
+            let suppressed = self.ctx.cfg.probe_suppression
+                && self
+                    .maintenance
+                    .last_heard(j)
+                    .is_some_and(|t| self.ctx.now_us.saturating_sub(t) < self.maintenance.t_rt_us);
             if !suppressed {
                 self.probe(j, ProbeKind::Liveness, true, fx);
             }
@@ -138,12 +194,7 @@ impl Node {
         let keep: FxHashSet<NodeId> = state.into_iter().collect();
         let now = self.ctx.now_us;
         let horizon = 4 * self.ctx.cfg.t_ls_us;
-        self.maintenance
-            .last_heard
-            .retain(|n, &mut t| keep.contains(n) || now.saturating_sub(t) < horizon);
-        self.maintenance
-            .last_sent
-            .retain(|n, &mut t| keep.contains(n) || now.saturating_sub(t) < horizon);
+        self.maintenance.prune(&keep, now, horizon);
         self.consistency
             .repair_paced
             .retain(|_, &mut t| now.saturating_sub(t) < horizon);
@@ -231,15 +282,41 @@ mod tests {
         let mut n = Node::new(Id(1), cfg());
         let mut fx = Effects::new();
         n.handle(0, Event::Join { seed: None }, &mut fx);
-        // A peer outside the routing state, heard from long ago.
-        n.maintenance.last_heard.insert(Id(999), 1);
-        n.maintenance.last_sent.insert(Id(999), 1);
         let far = 100 * n.config().t_ls_us;
+        let horizon = 4 * n.config().t_ls_us;
+        // A peer outside the routing state, silent both ways for long.
+        n.maintenance.heard(Id(999), 1);
+        n.maintenance.sent(Id(999), 1);
+        // Another one heard from long ago but sent to just now.
+        n.maintenance.heard(Id(998), 1);
+        n.maintenance.sent(Id(998), far - horizon + 1);
+        // And one only sent to, long ago: its unset `heard` stays unset.
+        n.maintenance.sent(Id(997), far - horizon);
+        // A leaf-set member keeps its stamps, however old.
+        n.ls.add(Id(2));
+        n.maintenance.heard(Id(2), 1);
         n.handle(far, Event::Timer(TimerKind::SelfTune), &mut fx);
         assert!(
-            !n.maintenance.last_heard.contains_key(&Id(999)),
-            "stale non-member pruned from last_heard"
+            !n.maintenance.traffic.contains_key(&Id(999)),
+            "stale non-member pruned"
         );
-        assert!(!n.maintenance.last_sent.contains_key(&Id(999)));
+        assert_eq!(
+            n.maintenance.last_heard(Id(998)),
+            None,
+            "stale heard pruned"
+        );
+        assert_eq!(
+            n.maintenance.last_sent(Id(998)),
+            Some(far - horizon + 1),
+            "fresh sent kept"
+        );
+        assert!(!n.maintenance.traffic.contains_key(&Id(997)));
+        assert_eq!(n.maintenance.last_heard(Id(2)), Some(1));
+        assert_eq!(n.maintenance.last_sent(Id(2)), None);
+    }
+
+    #[test]
+    fn a_traffic_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<(NodeId, Traffic)>(), 32);
     }
 }

@@ -199,7 +199,7 @@ impl Node {
     // ----- dispatch ---------------------------------------------------------
 
     fn on_receive(&mut self, from: NodeId, msg: Message, fx: &mut Effects) {
-        self.maintenance.last_heard.insert(from, self.ctx.now_us);
+        self.maintenance.heard(from, self.ctx.now_us);
         self.reliability.suspected.remove(&from);
         match msg {
             Message::JoinRequest { joiner, rows, hops } => {
@@ -224,7 +224,7 @@ impl Node {
             }
             Message::Heartbeat { trt_hint } => {
                 self.note_hint(from, trt_hint);
-                // Liveness only; last_heard was already updated.
+                // Liveness only; the receive was already stamped.
             }
             Message::RtProbe { nonce } => self.on_rt_probe(from, nonce, fx),
             Message::RtProbeReply { trt_hint, .. } => {
@@ -297,13 +297,15 @@ impl Node {
 
     pub(crate) fn send(&mut self, to: NodeId, msg: Message, fx: &mut Effects) {
         debug_assert_ne!(to, self.ctx.id, "node must not message itself");
-        self.maintenance.last_sent.insert(to, self.ctx.now_us);
+        self.maintenance.sent(to, self.ctx.now_us);
         fx.send(to, msg);
     }
 
-    /// The leaf-set members closest to `key` (ring-distance order, up to 8),
-    /// for application-level replication.
-    pub(crate) fn replica_set(&self, key: Key) -> Vec<NodeId> {
+    /// The leaf-set members closest to `key`, in (ring distance, id) order,
+    /// up to 8. Storage applications replicate onto these nodes,
+    /// PAST-style, so a value survives its root's failure: the next root is
+    /// one of them. Computed on demand; the protocol itself never reads it.
+    pub fn replica_set(&self, key: Key) -> Vec<NodeId> {
         let mut members = self.ls.members();
         members.sort_by_key(|m| (m.ring_dist(key), m.0));
         members.truncate(8);

@@ -145,6 +145,13 @@ impl Reliability {
             rtos: RtoTable::new(),
         }
     }
+
+    /// The routing exclusion for a lookup that already timed out on
+    /// `extra`: those nodes plus every suspect. It borrows both sets, so
+    /// routing a hop allocates nothing.
+    pub(crate) fn excludes<'a>(&'a self, extra: &'a [NodeId]) -> impl Fn(NodeId) -> bool + 'a {
+        move |n| extra.contains(&n) || self.suspected.contains(&n)
+    }
 }
 
 impl Node {
@@ -315,8 +322,8 @@ impl Node {
         is_retransmit: bool,
         fx: &mut Effects,
     ) {
-        let excl = self.excluded_set(&excluded);
-        let (next, empty_slot) = match route(&self.rt, &self.ls, key, &|n| excl.contains(&n)) {
+        let excl = self.reliability.excludes(&excluded);
+        let (next, empty_slot) = match route(&self.rt, &self.ls, key, excl) {
             NextHop::Local => {
                 if !self.ctx.active || !self.ls.covers(key) {
                     let reason = DropReason::NoRoute;
@@ -347,7 +354,6 @@ impl Node {
                         payload,
                         hops,
                         issued_at_us,
-                        replica_set: self.replica_set(key),
                     });
                     return;
                 }
@@ -463,10 +469,9 @@ impl Node {
             // confirmed dead), use the extended budget so the backed-off
             // retransmissions outlast the probe verdict.
             let reroute_self_delivers = {
-                let mut excl = self.excluded_set(&p.excluded);
-                excl.insert(missed);
+                let excl = self.reliability.excludes(&p.excluded);
                 matches!(
-                    route(&self.rt, &self.ls, p.key, &|n| excl.contains(&n)),
+                    route(&self.rt, &self.ls, p.key, |n| n == missed || excl(n)),
                     NextHop::Local
                 )
             };
@@ -605,12 +610,6 @@ impl Node {
             true,
             fx,
         );
-    }
-
-    pub(crate) fn excluded_set(&self, extra: &[NodeId]) -> FxHashSet<NodeId> {
-        let mut s: FxHashSet<NodeId> = self.reliability.suspected.clone();
-        s.extend(extra.iter().copied());
-        s
     }
 }
 

@@ -33,11 +33,11 @@ pub fn route(
     rt: &RoutingTable,
     ls: &LeafSet,
     key: Key,
-    excluded: &dyn Fn(NodeId) -> bool,
+    excluded: impl Fn(NodeId) -> bool,
 ) -> NextHop {
     let own = rt.own();
     if ls.covers(key) {
-        let next = ls.closest_to(key, excluded);
+        let next = ls.closest_to(key, &excluded);
         if next == own {
             return NextHop::Local;
         }
@@ -64,7 +64,7 @@ pub fn route(
     // strictly closer to the key that preserves the prefix length.
     let own_dist = own.ring_dist(key);
     let mut best: Option<(usize, u128, NodeId)> = None;
-    let candidates = rt.entries().map(|e| e.id).chain(ls.members());
+    let candidates = rt.entries().map(|e| e.id).chain(ls.iter());
     for j in candidates {
         if excluded(j) || j == own {
             continue;
@@ -148,7 +148,7 @@ mod tests {
             let mut hops = 0;
             loop {
                 let (rt, ls) = &states[index(cur)];
-                match route(rt, ls, key, &|_| false) {
+                match route(rt, ls, key, |_| false) {
                     NextHop::Local => break,
                     NextHop::Forward { next, .. } => {
                         assert_ne!(next, cur);
@@ -178,7 +178,7 @@ mod tests {
             let mut cur = all[k % n];
             loop {
                 let (rt, ls) = &states[index(cur)];
-                match route(rt, ls, key, &|_| false) {
+                match route(rt, ls, key, |_| false) {
                     NextHop::Local => break,
                     NextHop::Forward { next, .. } => {
                         cur = next;
@@ -198,9 +198,9 @@ mod tests {
         let own = Id(1000);
         let all = [own, Id(900), Id(1100)];
         let (rt, ls) = perfect_state(own, &all, 4, 2);
-        assert_eq!(route(&rt, &ls, Id(1001), &|_| false), NextHop::Local);
+        assert_eq!(route(&rt, &ls, Id(1001), |_| false), NextHop::Local);
         assert_eq!(
-            route(&rt, &ls, Id(1099), &|_| false),
+            route(&rt, &ls, Id(1099), |_| false),
             NextHop::Forward {
                 next: Id(1100),
                 empty_slot: None
@@ -215,7 +215,7 @@ mod tests {
         let (rt, ls) = perfect_state(own, &all, 4, 2);
         // Root for 1099 is 1100; with 1100 excluded the closest remaining is
         // own (dist 99 vs 900's dist 199).
-        let hop = route(&rt, &ls, Id(1099), &|n| n == Id(1100));
+        let hop = route(&rt, &ls, Id(1099), |n| n == Id(1100));
         assert_eq!(hop, NextHop::Local);
     }
 
@@ -233,7 +233,7 @@ mod tests {
         let key = Id(0x8000_0000_0000_0000_0000_0000_0000_0001u128);
         let closer = Id(0x7fff_ffff_ffff_ffff_ffff_ffff_ffff_ffffu128);
         rt.offer(closer, 50);
-        let hop = route(&rt, &ls, key, &|_| false);
+        let hop = route(&rt, &ls, key, |_| false);
         match hop {
             NextHop::Forward { next, empty_slot } => {
                 assert_eq!(next, closer);
@@ -249,9 +249,52 @@ mod tests {
         let rt = RoutingTable::new(own, 4);
         let ls = LeafSet::new(own, 2);
         assert_eq!(
-            route(&rt, &ls, Id(u128::MAX / 2), &|_| false),
+            route(&rt, &ls, Id(u128::MAX / 2), |_| false),
             NextHop::Local
         );
+    }
+
+    #[test]
+    fn borrowed_exclusion_routes_like_the_cloned_set() {
+        use crate::config::Config;
+        use crate::fxhash::FxHashSet;
+        use crate::reliability::Reliability;
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(46);
+        let all: Vec<NodeId> = (0..96).map(|_| Id::random(&mut rng)).collect();
+        for round in 0..300 {
+            let own = all[round % all.len()];
+            // Partial routing state, so both the leaf-set branch and the
+            // routing-table branch (with its fallback) are taken.
+            let mut rt = RoutingTable::new(own, 4);
+            let mut ls = LeafSet::new(own, 1 + round % 8);
+            let known: Vec<NodeId> = all
+                .iter()
+                .copied()
+                .filter(|&n| n != own && rng.gen_bool(0.5))
+                .collect();
+            for &n in &known {
+                rt.offer(n, 100);
+                ls.add(n);
+            }
+            let mut rel = Reliability::new(&Config::default());
+            let pick = |rng: &mut SmallRng, p: f64| -> Vec<NodeId> {
+                known.iter().copied().filter(|_| rng.gen_bool(p)).collect()
+            };
+            rel.suspected.extend(pick(&mut rng, 0.2));
+            let extra = pick(&mut rng, 0.1);
+            // The set `route_lookup` used to build on every hop.
+            let mut cloned: FxHashSet<NodeId> = rel.suspected.clone();
+            cloned.extend(extra.iter().copied());
+            for _ in 0..8 {
+                let key = Id::random(&mut rng);
+                assert_eq!(
+                    route(&rt, &ls, key, rel.excludes(&extra)),
+                    route(&rt, &ls, key, |n| cloned.contains(&n)),
+                    "round {round}, key {key:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -271,7 +314,7 @@ mod tests {
             let b = 4;
             let r = own.shared_prefix_len(key, b);
             let primary = rt.get(r, key.digit(r, b)).map(|e| e.id);
-            let hop = route(&rt, &ls, key, &|n| Some(n) == primary);
+            let hop = route(&rt, &ls, key, |n| Some(n) == primary);
             if let NextHop::Forward { next, .. } = hop {
                 if !ls.covers(key) {
                     assert!(next.ring_dist(key) < own.ring_dist(key));

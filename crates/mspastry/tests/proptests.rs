@@ -165,7 +165,7 @@ proptest! {
             rt.offer(id, 1);
             ls.add(id);
         }
-        match route(&rt, &ls, key, &|_| false) {
+        match route(&rt, &ls, key, |_| false) {
             NextHop::Local => {}
             NextHop::Forward { next, .. } => {
                 prop_assert_ne!(next, own);

@@ -330,7 +330,7 @@ impl Host for UdpHost<'_> {
             .push(Reverse((self.now + delay_us, self.io.timer_seq, kind)));
     }
 
-    fn deliver(&mut self, d: mspastry::Delivery) {
+    fn deliver(&mut self, d: mspastry::Delivery, _node: &Node) {
         let _ = self.io.delivery_tx.send(Delivery {
             key: d.key,
             payload: d.payload,
