@@ -6,42 +6,71 @@
 //! delay between the same nodes) and *control traffic* (messages per second
 //! per node, everything except first-transmission lookups), optionally broken
 //! down by message type as in Figure 4.
+//!
+//! Traffic is counted once, in the run's [`obs`] registry (`sent.*` per
+//! send, [`ACTIVE_NODE_US`] for node-time); [`Metrics::finalize`] derives
+//! the traffic figures from registry snapshots taken at the window
+//! boundaries. [`Metrics`] itself keeps the lookup-outcome ledger.
 
 use crate::fxhash::FxHashMap;
+use mspastry::diag::DROP_REASON_COUNTERS;
+use mspastry::messages::{
+    KIND_NAMES, SENT_BYTES_COUNTER, SENT_CATEGORY_COUNTERS, SENT_KIND_COUNTERS,
+};
 use mspastry::{Category, LookupId};
+use obs::Snapshot;
 use std::collections::VecDeque;
 
-/// Number of message categories tracked.
-pub const N_CATEGORIES: usize = 6;
+pub use mspastry::messages::{CATEGORY_NAMES, N_CATEGORIES};
 
-/// Stable index of a category in the per-window count arrays.
+/// Stable index of a category in the per-window arrays ([`CATEGORY_NAMES`]
+/// order): its declaration order, the five control categories first.
 pub fn category_index(c: Category) -> usize {
-    match c {
-        Category::DistanceProbe => 0,
-        Category::LeafSet => 1,
-        Category::RtProbe => 2,
-        Category::AckRetransmit => 3,
-        Category::Join => 4,
-        Category::Lookup => 5,
+    c as usize
+}
+
+/// Registry counter integrating the number of active overlay nodes over
+/// simulated time, in node-microseconds.
+pub const ACTIVE_NODE_US: &str = "overlay.active_node_us";
+
+/// Traffic between two registry snapshots.
+#[derive(Debug, Default)]
+struct Traffic {
+    /// Messages sent per category, [`CATEGORY_NAMES`] order.
+    counts: [u64; N_CATEGORIES],
+    bytes: u64,
+    node_us: u64,
+}
+
+impl Traffic {
+    fn between(from: &Snapshot, to: &Snapshot) -> Self {
+        let delta = |name: &str| to.counter(name) - from.counter(name);
+        Traffic {
+            counts: SENT_CATEGORY_COUNTERS.map(delta),
+            bytes: delta(SENT_BYTES_COUNTER),
+            node_us: delta(ACTIVE_NODE_US),
+        }
+    }
+
+    fn control(&self) -> u64 {
+        self.counts[..5].iter().sum()
     }
 }
 
-/// Human-readable category names, indexed by [`category_index`].
-pub const CATEGORY_NAMES: [&str; N_CATEGORIES] = [
-    "distance-probes",
-    "leafset-hb-probes",
-    "rt-probes",
-    "acks-retransmits",
-    "join",
-    "lookups",
-];
+/// `count / node_seconds`, or 0 when no node was active.
+fn per_node_second(count: u64, node_seconds: f64) -> f64 {
+    if node_seconds > 0.0 {
+        count as f64 / node_seconds
+    } else {
+        0.0
+    }
+}
 
+/// Per-window RDP accumulator.
 #[derive(Debug, Clone, Default)]
 struct Window {
-    counts: [u64; N_CATEGORIES],
     rdp_sum: f64,
     rdp_count: u64,
-    node_us: f64,
 }
 
 /// A lookup in the ledger: pending until its first delivery, then kept for
@@ -54,15 +83,14 @@ struct LedgerEntry {
     delivered: bool,
 }
 
-/// Collects all run metrics.
+/// The lookup-outcome ledger of one run: issued, delivered, lost, incorrect
+/// and duplicate lookups, hops, RDP and join latencies.
 #[derive(Debug)]
 pub struct Metrics {
     measure_start_us: u64,
     window_us: u64,
     lookup_timeout_us: u64,
     windows: Vec<Window>,
-    active_now: usize,
-    last_active_us: u64,
     ledger: FxHashMap<LookupId, LedgerEntry>,
     /// Delivered ledger entries in delivery order, each with the time after
     /// which it is evicted.
@@ -71,17 +99,11 @@ pub struct Metrics {
     delivered: u64,
     incorrect: u64,
     duplicates: u64,
-    dropped_reports: u64,
     hops_sum: u64,
     rdp_sum: f64,
     rdp_count: u64,
     join_latencies_us: Vec<u64>,
-    totals: [u64; N_CATEGORIES],
-    bytes_total: u64,
     slow_deliveries: u64,
-    fine: FxHashMap<&'static str, u64>,
-    lost: u64,
-    censored: u64,
 }
 
 impl Metrics {
@@ -94,25 +116,17 @@ impl Metrics {
             window_us,
             lookup_timeout_us,
             windows: Vec::new(),
-            active_now: 0,
-            last_active_us: measure_start_us,
             ledger: FxHashMap::default(),
             expiry: VecDeque::new(),
             issued: 0,
             delivered: 0,
             incorrect: 0,
             duplicates: 0,
-            dropped_reports: 0,
             hops_sum: 0,
             rdp_sum: 0.0,
             rdp_count: 0,
             join_latencies_us: Vec::new(),
-            totals: [0; N_CATEGORIES],
-            bytes_total: 0,
             slow_deliveries: 0,
-            fine: FxHashMap::default(),
-            lost: 0,
-            censored: 0,
         }
     }
 
@@ -125,46 +139,6 @@ impl Metrics {
             self.windows.resize(idx + 1, Window::default());
         }
         Some(&mut self.windows[idx])
-    }
-
-    /// Integrates the active-node count up to `now_us` and applies `delta`.
-    pub fn set_active_delta(&mut self, now_us: u64, delta: i64) {
-        self.integrate_active(now_us);
-        self.active_now = (self.active_now as i64 + delta).max(0) as usize;
-    }
-
-    fn integrate_active(&mut self, now_us: u64) {
-        let mut t = self.last_active_us.max(self.measure_start_us);
-        let end = now_us.max(t);
-        let active = self.active_now as f64;
-        while t < end {
-            let idx = ((t - self.measure_start_us) / self.window_us) as usize;
-            let wend = self.measure_start_us + (idx as u64 + 1) * self.window_us;
-            let seg = end.min(wend) - t;
-            if self.windows.len() <= idx {
-                self.windows.resize(idx + 1, Window::default());
-            }
-            self.windows[idx].node_us += active * seg as f64;
-            t += seg;
-        }
-        self.last_active_us = now_us.max(self.last_active_us);
-    }
-
-    /// Records a message transmission of `wire_bytes` bytes.
-    pub fn on_send(&mut self, now_us: u64, category: Category, wire_bytes: usize) {
-        let idx = category_index(category);
-        if let Some(w) = self.window_mut(now_us) {
-            w.counts[idx] += 1;
-            self.totals[idx] += 1;
-            self.bytes_total += wire_bytes as u64;
-        }
-    }
-
-    /// Records a fine-grained per-variant count (diagnostics).
-    pub fn on_send_kind(&mut self, now_us: u64, kind: &'static str) {
-        if now_us >= self.measure_start_us {
-            *self.fine.entry(kind).or_insert(0) += 1;
-        }
     }
 
     /// Records the first sighting of a lookup (issue or first transmission).
@@ -243,43 +217,46 @@ impl Metrics {
         }
     }
 
-    /// Records a drop report from a node (diagnostic only; loss is measured
-    /// by never-delivered lookups).
-    pub fn on_drop_report(&mut self) {
-        self.dropped_reports += 1;
-    }
-
     /// Records a join latency sample.
     pub fn on_join_latency(&mut self, latency_us: u64) {
         self.join_latencies_us.push(latency_us);
     }
 
-    /// Closes the run at `end_us` and produces the report.
-    pub fn finalize(mut self, end_us: u64) -> Report {
-        self.integrate_active(end_us);
+    /// Closes the run at `end_us` and produces the report. `boundaries`
+    /// are the run's registry snapshots at each window boundary before
+    /// `end_us` (`measure_start_us + k·window_us`, each taken before any
+    /// event at that instant) and `last` the snapshot at the end: the
+    /// traffic figures are their deltas, and `drop_reports` sums `last`'s
+    /// drop counters.
+    pub fn finalize(self, end_us: u64, boundaries: &[Snapshot], last: &Snapshot) -> Report {
+        let (mut lost, mut censored) = (0, 0);
         for p in self.ledger.values() {
             if p.delivered || !p.tracked {
                 continue;
             }
             if p.issued_at_us + self.lookup_timeout_us <= end_us {
-                self.lost += 1;
+                lost += 1;
             } else {
-                self.censored += 1;
+                censored += 1;
             }
         }
-        let node_seconds: f64 = self.windows.iter().map(|w| w.node_us).sum::<f64>() / 1e6;
-        let control_total: u64 = self.totals[..5].iter().sum();
-        let mut windows = Vec::with_capacity(self.windows.len());
-        for (i, w) in self.windows.iter().enumerate() {
-            let ns = w.node_us / 1e6;
-            let per_cat = std::array::from_fn(|c| {
-                if ns > 0.0 {
-                    w.counts[c] as f64 / ns
-                } else {
-                    0.0
-                }
-            });
-            let control: u64 = w.counts[..5].iter().sum();
+        // No boundary reached: nothing was measured.
+        let base = boundaries.first().unwrap_or(last);
+        let total = Traffic::between(base, last);
+        let ends = boundaries.iter().skip(1).chain(std::iter::once(last));
+        let traffic: Vec<Traffic> = boundaries
+            .iter()
+            .zip(ends)
+            .map(|(from, to)| Traffic::between(from, to))
+            .collect();
+        let node_seconds = total.node_us as f64 / 1e6;
+        let n_windows = traffic.len().max(self.windows.len());
+        let mut windows = Vec::with_capacity(n_windows);
+        let quiet = Traffic::default();
+        for i in 0..n_windows {
+            let t = traffic.get(i).unwrap_or(&quiet);
+            let w = self.windows.get(i).cloned().unwrap_or_default();
+            let ns = t.node_us as f64 / 1e6;
             windows.push(WindowReport {
                 start_us: self.measure_start_us + i as u64 * self.window_us,
                 rdp: if w.rdp_count > 0 {
@@ -287,24 +264,31 @@ impl Metrics {
                 } else {
                     0.0
                 },
-                control_per_node_per_sec: if ns > 0.0 { control as f64 / ns } else { 0.0 },
-                per_category_per_node_per_sec: per_cat,
+                control_per_node_per_sec: per_node_second(t.control(), ns),
+                per_category_per_node_per_sec: t.counts.map(|c| per_node_second(c, ns)),
                 mean_active_nodes: ns / (self.window_us as f64 / 1e6),
             });
         }
-        let accounted = self.delivered + self.lost;
+        let mut fine_counts: Vec<(&'static str, u64)> = KIND_NAMES
+            .iter()
+            .zip(SENT_KIND_COUNTERS)
+            .map(|(&kind, name)| (kind, last.counter(name) - base.counter(name)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        fine_counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        let accounted = self.delivered + lost;
         let mut join_latencies_us = self.join_latencies_us;
         join_latencies_us.sort_unstable();
         Report {
             issued: self.issued,
             delivered: self.delivered,
             incorrect: self.incorrect,
-            lost: self.lost,
-            censored: self.censored,
+            lost,
+            censored,
             duplicates: self.duplicates,
-            drop_reports: self.dropped_reports,
+            drop_reports: DROP_REASON_COUNTERS.iter().map(|c| last.counter(c)).sum(),
             incorrect_rate: rate(self.incorrect, accounted),
-            loss_rate: rate(self.lost, accounted),
+            loss_rate: rate(lost, accounted),
             mean_rdp: if self.rdp_count > 0 {
                 self.rdp_sum / self.rdp_count as f64
             } else {
@@ -315,32 +299,14 @@ impl Metrics {
             } else {
                 0.0
             },
-            control_msgs_per_node_per_sec: if node_seconds > 0.0 {
-                control_total as f64 / node_seconds
-            } else {
-                0.0
-            },
-            totals_per_node_per_sec: std::array::from_fn(|c| {
-                if node_seconds > 0.0 {
-                    self.totals[c] as f64 / node_seconds
-                } else {
-                    0.0
-                }
-            }),
+            control_msgs_per_node_per_sec: per_node_second(total.control(), node_seconds),
+            totals_per_node_per_sec: total.counts.map(|c| per_node_second(c, node_seconds)),
             node_seconds,
-            bytes_per_node_per_sec: if node_seconds > 0.0 {
-                self.bytes_total as f64 / node_seconds
-            } else {
-                0.0
-            },
+            bytes_per_node_per_sec: per_node_second(total.bytes, node_seconds),
             slow_deliveries: self.slow_deliveries,
             join_latencies_us,
             windows,
-            fine_counts: {
-                let mut v: Vec<(&'static str, u64)> = self.fine.into_iter().collect();
-                v.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
-                v
-            },
+            fine_counts,
         }
     }
 }
@@ -440,39 +406,89 @@ mod tests {
         LookupId { src: Id(1), seq }
     }
 
-    #[test]
-    fn warmup_events_are_ignored() {
-        let mut m = Metrics::new(1_000_000, 1_000_000, 60_000_000);
-        m.on_send(500_000, Category::LeafSet, 10);
-        m.on_send(1_500_000, Category::LeafSet, 10);
-        let r = m.finalize(2_000_000);
-        assert_eq!(r.windows.len(), 1);
-        assert_eq!(r.windows[0].per_category_per_node_per_sec[1], 0.0); // no nodes
+    /// A registry snapshot holding `counters` (any order).
+    fn snap(counters: &[(&str, u64)]) -> Snapshot {
+        let mut counters: Vec<(String, u64)> =
+            counters.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        counters.sort();
+        Snapshot {
+            counters,
+            histograms: Vec::new(),
+        }
+    }
+
+    /// The `sent.category.*` counter of `c`.
+    fn sent(c: Category) -> &'static str {
+        SENT_CATEGORY_COUNTERS[category_index(c)]
     }
 
     #[test]
+    fn category_index_follows_the_report_names() {
+        let ack = mspastry::Message::Ack { id: lid(1) };
+        assert_eq!(
+            CATEGORY_NAMES[category_index(ack.category())],
+            "acks-retransmits"
+        );
+        assert_eq!(
+            SENT_CATEGORY_COUNTERS[category_index(Category::Lookup)],
+            "sent.category.lookups"
+        );
+    }
+
+    #[test]
+    fn warmup_events_are_ignored() {
+        // Measurement starts at 1 s: one heartbeat before it, one after.
+        let at_start = snap(&[(sent(Category::LeafSet), 1), ("sent.heartbeat", 1)]);
+        let end = snap(&[(sent(Category::LeafSet), 2), ("sent.heartbeat", 2)]);
+        let m = Metrics::new(1_000_000, 1_000_000, 60_000_000);
+        let r = m.finalize(2_000_000, std::slice::from_ref(&at_start), &end);
+        assert_eq!(r.windows.len(), 1);
+        assert_eq!(r.windows[0].per_category_per_node_per_sec[1], 0.0); // no nodes
+        assert_eq!(r.fine_counts, vec![("heartbeat", 1)]);
+        // One node throughout: one message per node-second, not two.
+        let with_node = |s: &Snapshot, us| {
+            let mut s = s.clone();
+            s.counters.push((ACTIVE_NODE_US.to_string(), us));
+            s.counters.sort();
+            s
+        };
+        let m = Metrics::new(1_000_000, 1_000_000, 60_000_000);
+        let r = m.finalize(
+            2_000_000,
+            &[with_node(&at_start, 1_000_000)],
+            &with_node(&end, 2_000_000),
+        );
+        assert_eq!(r.node_seconds, 1.0);
+        assert_eq!(r.windows[0].per_category_per_node_per_sec[1], 1.0);
+        assert_eq!(r.control_msgs_per_node_per_sec, 1.0);
+    }
+    #[test]
     fn control_traffic_normalised_by_node_seconds() {
-        let mut m = Metrics::new(0, 10_000_000, 60_000_000);
-        m.set_active_delta(0, 2); // 2 nodes from t=0
-        for i in 0..20 {
-            m.on_send(i * 500_000, Category::RtProbe, 9);
-        }
-        let r = m.finalize(10_000_000);
-        // 20 messages over 2 nodes * 10 s = 1 msg/s/node.
+        // 20 probes over 2 nodes * 10 s = 1 msg/s/node.
+        let end = snap(&[(sent(Category::RtProbe), 20), (ACTIVE_NODE_US, 20_000_000)]);
+        let m = Metrics::new(0, 10_000_000, 60_000_000);
+        let r = m.finalize(10_000_000, &[snap(&[])], &end);
         assert!((r.control_msgs_per_node_per_sec - 1.0).abs() < 1e-9);
         assert!((r.totals_per_node_per_sec[category_index(Category::RtProbe)] - 1.0).abs() < 1e-9);
+        assert_eq!(r.windows.len(), 1);
     }
 
     #[test]
     fn lookups_do_not_count_as_control() {
-        let mut m = Metrics::new(0, 10_000_000, 60_000_000);
-        m.set_active_delta(0, 1);
-        m.on_send(1, Category::Lookup, 62);
-        m.on_send(2, Category::AckRetransmit, 25);
-        let r = m.finalize(10_000_000);
+        let end = snap(&[
+            (sent(Category::Lookup), 1),
+            (sent(Category::AckRetransmit), 1),
+            (SENT_BYTES_COUNTER, 87),
+            (ACTIVE_NODE_US, 10_000_000),
+        ]);
+        let m = Metrics::new(0, 10_000_000, 60_000_000);
+        let r = m.finalize(10_000_000, &[snap(&[])], &end);
         assert!((r.control_msgs_per_node_per_sec - 0.1).abs() < 1e-9);
+        assert!(
+            (r.bytes_per_node_per_sec - 8.7).abs() < 1e-9,
+            "lookups' bytes count"
+        );
     }
-
     #[test]
     fn loss_and_incorrect_rates() {
         let mut m = Metrics::new(0, 1_000_000, 10_000_000);
@@ -482,7 +498,7 @@ mod tests {
         m.sight_lookup(lid(3), 100);
         m.on_delivered(500_000, lid(1), 100, true, 3, 1000);
         m.on_delivered(500_000, lid(2), 100, false, 3, 1000);
-        let r = m.finalize(100_000_000);
+        let r = m.finalize(100_000_000, &[], &Snapshot::default());
         assert_eq!(r.delivered, 2);
         assert_eq!(r.lost, 1);
         assert_eq!(r.incorrect, 1);
@@ -494,7 +510,7 @@ mod tests {
     fn in_flight_lookups_are_censored_not_lost() {
         let mut m = Metrics::new(0, 1_000_000, 60_000_000);
         m.sight_lookup(lid(1), 500_000);
-        let r = m.finalize(1_000_000); // well within the timeout
+        let r = m.finalize(1_000_000, &[], &Snapshot::default()); // well within the timeout
         assert_eq!(r.lost, 0);
         assert_eq!(r.censored, 1);
     }
@@ -505,7 +521,7 @@ mod tests {
         m.sight_lookup(lid(1), 0);
         m.on_delivered(100, lid(1), 0, true, 1, 50);
         m.on_delivered(200, lid(1), 0, true, 1, 50);
-        let r = m.finalize(1_000_000);
+        let r = m.finalize(1_000_000, &[], &Snapshot::default());
         assert_eq!(r.delivered, 1);
         assert_eq!(r.duplicates, 1);
     }
@@ -528,7 +544,7 @@ mod tests {
             seq += 1;
             t += gap_us;
         }
-        (max_len, m.finalize(duration_us))
+        (max_len, m.finalize(duration_us, &[], &Snapshot::default()))
     }
 
     #[test]
@@ -562,7 +578,7 @@ mod tests {
         m.sight_lookup(lid(2), 10_000_000);
         m.on_delivered(10_002_000, lid(2), 10_000_000, true, 1, 50);
         assert!(!m.ledger.contains_key(&lid(1)));
-        let r = m.finalize(20_000_000);
+        let r = m.finalize(20_000_000, &[], &Snapshot::default());
         assert_eq!((r.issued, r.delivered, r.duplicates), (2, 2, 1));
     }
 
@@ -572,7 +588,7 @@ mod tests {
         m.sight_lookup(lid(1), 0);
         // Delivered at t=2000 with direct delay 1000 → RDP 2.
         m.on_delivered(2000, lid(1), 0, true, 2, 1000);
-        let r = m.finalize(1_000_000);
+        let r = m.finalize(1_000_000, &[], &Snapshot::default());
         assert!((r.mean_rdp - 2.0).abs() < 1e-9);
         assert!((r.mean_hops - 2.0).abs() < 1e-9);
     }
@@ -593,7 +609,7 @@ mod tests {
         for l in [5u64, 1, 3, 2, 4] {
             m.on_join_latency(l);
         }
-        let r = m.finalize(1_000_000);
+        let r = m.finalize(1_000_000, &[], &Snapshot::default());
         assert_eq!(r.join_latency_quantile(0.0), Some(1));
         assert_eq!(r.join_latency_quantile(0.5), Some(3));
         assert_eq!(r.join_latency_quantile(1.0), Some(5));
@@ -601,11 +617,46 @@ mod tests {
 
     #[test]
     fn active_node_integration_splits_windows() {
-        let mut m = Metrics::new(0, 1_000_000, 60_000_000);
-        m.set_active_delta(0, 1);
-        m.set_active_delta(1_500_000, 1); // second node joins mid-window-2
-        let r = m.finalize(2_000_000);
+        // One node from 0, a second from 1.5 s: 1 node-second in the first
+        // window, 1.5 in the second.
+        let m = Metrics::new(0, 1_000_000, 60_000_000);
+        let boundaries = [snap(&[]), snap(&[(ACTIVE_NODE_US, 1_000_000)])];
+        let r = m.finalize(
+            2_000_000,
+            &boundaries,
+            &snap(&[(ACTIVE_NODE_US, 2_500_000)]),
+        );
         assert!((r.windows[0].mean_active_nodes - 1.0).abs() < 1e-9);
         assert!((r.windows[1].mean_active_nodes - 1.5).abs() < 1e-9);
+        assert_eq!(r.node_seconds, 2.5);
+    }
+
+    #[test]
+    fn fine_counts_are_largest_first_then_by_name() {
+        let base = snap(&[("sent.ack", 5)]);
+        let end = snap(&[
+            ("sent.ack", 7),
+            ("sent.leaving", 2),
+            ("sent.heartbeat", 3),
+            ("sent.bytes", 100),
+        ]);
+        let m = Metrics::new(0, 1_000_000, 60_000_000);
+        let r = m.finalize(1_000_000, &[base], &end);
+        assert_eq!(
+            r.fine_counts,
+            vec![("heartbeat", 3), ("ack", 2), ("leaving", 2)]
+        );
+    }
+
+    #[test]
+    fn drop_reports_sum_every_reason_over_the_whole_run() {
+        let end = snap(&[
+            ("lookup.drop.no-route", 2),
+            ("lookup.drop.buffer-overflow", 1),
+            ("lookup.reroutes", 9),
+        ]);
+        let m = Metrics::new(0, 1_000_000, 60_000_000);
+        let r = m.finalize(1_000_000, std::slice::from_ref(&end), &end);
+        assert_eq!(r.drop_reports, 3);
     }
 }

@@ -10,15 +10,14 @@
 //! deployments run the identical core.
 
 use crate::fxhash::FxHashMap;
-use crate::metrics::{Metrics, Report};
+use crate::metrics::{Metrics, Report, ACTIVE_NODE_US};
 use crate::oracle::Oracle;
 use churn::{Trace, TraceEvent};
 use mspastry::{
-    Config, Delivery, Driver, DropReason, Event, Host, Id, Key, LookupId, Message, Node, NodeId,
-    Payload, TimerKind,
+    Config, Delivery, Driver, Event, Host, Id, Key, Message, Node, NodeId, Payload, TimerKind,
 };
 use netsim::{EndpointId, EventQueue, Network};
-use obs::{HistId, HopEvent, Obs};
+use obs::{CounterId, HistId, HopEvent, Obs, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -135,8 +134,9 @@ pub struct RunConfig {
     /// overwritten (the count of casualties is reported).
     pub trace_capacity: usize,
     /// Time-series sampling cadence in virtual microseconds (0 disables the
-    /// sampler). Sampling is a pure observer — it reads registry snapshots
-    /// between events and never perturbs the simulation.
+    /// sampler). Sampling is a pure observer — it reads a registry snapshot
+    /// before the first event at or after each sample point and never
+    /// perturbs the simulation.
     pub ts_interval_us: u64,
     /// Maximum time-series windows kept in memory; past it the oldest are
     /// dropped (and counted), mirroring the flight recorder.
@@ -206,8 +206,9 @@ pub struct RunResult {
     pub rt_unknown_fraction: f64,
     /// Mean measured routing-table entry distance at the end, microseconds.
     pub rt_mean_distance_us: f64,
-    /// End-of-run snapshot of the per-run diagnostic registry (probe causes,
-    /// network loss counters, RTO/latency histograms, ...).
+    /// End-of-run snapshot of the per-run diagnostic registry (sends per
+    /// kind and category, active node-time, probe causes, network loss
+    /// counters, RTO/latency histograms, ...).
     pub diag: obs::Snapshot,
     /// Sampled hop-trace events, in recording order (empty unless
     /// `trace_sample_rate > 0`).
@@ -239,11 +240,6 @@ enum Ev {
     },
     Scripted(usize),
     Outage(bool),
-    /// Close the current time-series window. A pure observer: excluded from
-    /// `sim_events`, and the extra queue entries only consume sequence
-    /// numbers, which preserves the relative order of all other events — the
-    /// simulation (and its artifacts) stay bit-identical with sampling on.
-    TsSample,
     End,
 }
 
@@ -292,6 +288,16 @@ struct World {
     activations: Vec<(usize, u64)>,
     end_us: u64,
     sim_events: u64,
+    /// `overlay.active_node_us`: `active_list.len()` integrated over time.
+    active_node_us: CounterId,
+    /// Time up to which `active_node_us` is integrated.
+    active_since_us: u64,
+    /// Registry snapshots at the metrics-window boundaries reached so far.
+    window_snaps: Vec<Snapshot>,
+    /// Next metrics-window boundary.
+    next_window_us: u64,
+    /// Next time-series sample point (`u64::MAX` with the sampler off).
+    next_ts_us: u64,
     timeseries: Option<obs::TimeSeries>,
 }
 
@@ -334,7 +340,7 @@ impl Prof {
             Ev::NextLookup { .. } => Some(self.next_lookup),
             Ev::Scripted(_) => Some(self.scripted),
             Ev::Outage(_) => Some(self.outage),
-            Ev::TsSample | Ev::End => None,
+            Ev::End => None,
         }
     }
 }
@@ -360,7 +366,7 @@ struct SimHost<'a> {
 
 impl Host for SimHost<'_> {
     fn send(&mut self, to: NodeId, msg: Message) {
-        self.world.apply_send(self.now, self.ep, to, msg);
+        self.world.apply_send(self.ep, to, msg);
     }
 
     fn set_timer(&mut self, delay_us: u64, kind: TimerKind) {
@@ -380,12 +386,6 @@ impl Host for SimHost<'_> {
     fn became_active(&mut self) {
         self.world.apply_became_active(self.now, self.ep);
     }
-
-    // The node already counted the drop (and echoed it to stderr under
-    // MSPASTRY_DEBUG_DROPS) through the shared obs handle.
-    fn lookup_dropped(&mut self, _id: LookupId, _reason: DropReason) {
-        self.world.metrics.on_drop_report();
-    }
 }
 
 impl Runner {
@@ -397,6 +397,7 @@ impl Runner {
         net.set_obs(obs.clone());
         let h_latency = obs.histogram("lookup.latency_us");
         let h_hops = obs.histogram("lookup.hops");
+        let active_node_us = obs.counter(ACTIVE_NODE_US);
         let metrics = Metrics::new(cfg.warmup_us, cfg.metrics_window_us, cfg.lookup_timeout_us);
         let end_us = cfg.warmup_us + cfg.trace.duration_us();
         let n_sessions = cfg.trace.sessions().len();
@@ -438,6 +439,11 @@ impl Runner {
                 activations: Vec::new(),
                 end_us,
                 sim_events: 0,
+                active_node_us,
+                active_since_us: 0,
+                window_snaps: Vec::new(),
+                next_window_us: cfg.warmup_us,
+                next_ts_us: timeseries.as_ref().map_or(u64::MAX, |ts| ts.interval_us()),
                 timeseries,
                 cfg,
             },
@@ -486,11 +492,6 @@ impl Runner {
                 .schedule_at(end + w.cfg.warmup_us, Ev::Outage(false));
         }
         w.queue.schedule_at(w.end_us, Ev::End);
-        // Scheduled after `End`, so at a shared instant the run ends first
-        // and the tail is covered by the final partial-window sample.
-        if let Some(ts) = &w.timeseries {
-            w.queue.schedule_at(ts.interval_us(), Ev::TsSample);
-        }
     }
 
     fn run(mut self) -> RunResult {
@@ -510,19 +511,8 @@ impl Runner {
                 p.profiler.record_pop(t0.elapsed().as_nanos() as u64);
             }
             let now = ev.at_us;
-            if matches!(ev.payload, Ev::TsSample) {
-                // Pure observer: not a simulation event (excluded from
-                // `sim_events` so artifacts stay bit-identical), and the
-                // registry snapshot mutates nothing.
-                let w = &mut self.world;
-                let snap = w.obs.snapshot();
-                if let Some(ts) = w.timeseries.as_mut() {
-                    ts.sample(now, &snap);
-                    if now < w.end_us {
-                        w.queue.schedule_in(ts.interval_us(), Ev::TsSample);
-                    }
-                }
-                continue;
+            if now >= self.world.next_window_us.min(self.world.next_ts_us) {
+                self.world.take_due_snapshots(now);
             }
             self.world.sim_events += 1;
             let kind = self.prof.as_ref().and_then(|p| p.kind_of(&ev.payload));
@@ -540,7 +530,6 @@ impl Runner {
                 Ev::NextLookup { node } => self.on_next_lookup(now, node),
                 Ev::Scripted(i) => self.on_scripted(now, i),
                 Ev::Outage(on) => self.world.net.set_blackout(on),
-                Ev::TsSample => unreachable!("handled above"),
             }
             if let (Some(p), Some(kind), Some(t0)) = (self.prof.as_mut(), kind, t0) {
                 p.profiler.record(kind, t0.elapsed().as_nanos() as u64);
@@ -552,9 +541,11 @@ impl Runner {
     /// Reads the end-of-run state into the result.
     fn finish(self) -> RunResult {
         let mut w = self.world;
+        w.integrate_active(w.end_us);
+        let diag = w.obs.snapshot();
         // Close the tail window: deltas since the last on-cadence sample.
         if let Some(ts) = w.timeseries.as_mut() {
-            ts.sample(w.queue.now_us(), &w.obs.snapshot());
+            ts.sample(w.queue.now_us(), &diag);
         }
         let prof = self.prof.as_ref().map(|p| {
             p.profiler.report(
@@ -586,8 +577,7 @@ impl Runner {
                 }
             }
         }
-        let report = w.metrics.finalize(w.end_us);
-        let diag = w.obs.snapshot();
+        let report = w.metrics.finalize(w.end_us, &w.window_snaps, &diag);
         let (trace_events, trace_overwritten) = w.obs.take_trace();
         RunResult {
             report,
@@ -695,8 +685,7 @@ impl Runner {
                 self.drivers[ep] = None;
                 if was_active {
                     self.world.oracle.remove(self.world.node_ids[ep]);
-                    self.world.metrics.set_active_delta(now, -1);
-                    self.world.remove_active(ep);
+                    self.world.remove_active(now, ep);
                 }
             }
         }
@@ -789,7 +778,40 @@ fn count_ring_defects(drivers: &[Option<Driver>], w: &World) -> u64 {
 }
 
 impl World {
-    fn remove_active(&mut self, ep: EndpointId) {
+    /// Brings `overlay.active_node_us` up to `now`.
+    fn integrate_active(&mut self, now: u64) {
+        let dt = now - self.active_since_us;
+        self.obs
+            .add(self.active_node_us, self.active_list.len() as u64 * dt);
+        self.active_since_us = now;
+    }
+
+    /// Takes the registry snapshots due at or before `now`, oldest first:
+    /// metrics-window boundaries and time-series sample points before the
+    /// end of the run (`finish` closes the last window of each). It runs
+    /// before the event at `now` is dispatched, so a snapshot at `t` holds
+    /// exactly what happened before `t`.
+    fn take_due_snapshots(&mut self, now: u64) {
+        loop {
+            let t = self.next_window_us.min(self.next_ts_us);
+            if t > now || t >= self.end_us {
+                break;
+            }
+            self.integrate_active(t);
+            let snap = self.obs.snapshot();
+            if let Some(ts) = self.timeseries.as_mut().filter(|_| t == self.next_ts_us) {
+                ts.sample(t, &snap);
+                self.next_ts_us += ts.interval_us();
+            }
+            if t == self.next_window_us {
+                self.window_snaps.push(snap);
+                self.next_window_us += self.cfg.metrics_window_us;
+            }
+        }
+    }
+
+    fn remove_active(&mut self, now: u64, ep: EndpointId) {
+        self.integrate_active(now);
         let pos = std::mem::replace(&mut self.active_pos[ep], NOT_ACTIVE);
         if pos != NOT_ACTIVE {
             let last = self.active_list.pop().unwrap();
@@ -840,7 +862,7 @@ impl World {
         let id = self.node_ids[ep];
         if !self.oracle.contains(id) {
             self.oracle.insert(id);
-            self.metrics.set_active_delta(now, 1);
+            self.integrate_active(now);
             self.active_pos[ep] = self.active_list.len() as u32;
             self.active_list.push(ep);
             self.activations.push((self.session_of_ep[ep], now));
@@ -860,10 +882,7 @@ impl World {
         }
     }
 
-    fn apply_send(&mut self, now: u64, ep: EndpointId, to: NodeId, msg: Message) {
-        self.metrics
-            .on_send(now, msg.category(), mspastry::codec::encoded_len(&msg));
-        self.metrics.on_send_kind(now, msg.kind_name());
+    fn apply_send(&mut self, ep: EndpointId, to: NodeId, msg: Message) {
         if let Message::Lookup {
             id, issued_at_us, ..
         } = &msg
@@ -991,11 +1010,65 @@ mod tests {
         }
         let prof = res.prof.as_ref().expect("profiler ran");
         // Every simulation event except the final `End` (which breaks out of
-        // the loop before recording) is profiled; TsSample events are not
-        // simulation events at all.
+        // the loop before recording) is profiled.
         assert_eq!(prof.events, res.sim_events - 1);
         assert!(prof.kinds.iter().any(|k| k.name == "msg"));
         assert!(prof.depth_max > 0 && prof.depth_samples > 0);
+    }
+
+    #[test]
+    fn traffic_figures_are_registry_window_deltas() {
+        use mspastry::messages::{KIND_NAMES, SENT_CATEGORY_COUNTERS, SENT_KIND_COUNTERS};
+        let trace = churn::poisson::trace(&churn::poisson::PoissonParams {
+            mean_nodes: 30.0,
+            mean_session_us: 10.0 * 60e6,
+            duration_us: 12 * 60 * 1_000_000,
+            seed: 5,
+        });
+        let mut cfg = quick_config(trace);
+        cfg.network_loss_rate = 0.02;
+        let mut runner = Runner::new(cfg);
+        runner.simulate();
+        let warm = runner.world.window_snaps[0].clone();
+        let res = runner.finish();
+        let (r, diag) = (&res.report, &res.diag);
+        let delta = |name: &str| diag.counter(name) - warm.counter(name);
+
+        let mut fine = r.fine_counts.clone();
+        fine.sort();
+        let mut expected: Vec<(&str, u64)> = KIND_NAMES
+            .into_iter()
+            .zip(SENT_KIND_COUNTERS)
+            .map(|(kind, name)| (kind, delta(name)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        expected.sort();
+        assert!(expected.len() > 10, "too little traffic: {expected:?}");
+        assert_eq!(fine, expected);
+
+        // 12 one-minute windows: the boundary at the end opens none.
+        assert_eq!(r.windows.len(), 12);
+        for (i, name) in SENT_CATEGORY_COUNTERS.iter().enumerate() {
+            let total = delta(name);
+            assert_eq!(
+                (r.totals_per_node_per_sec[i] * r.node_seconds).round() as u64,
+                total
+            );
+            let from_windows: f64 = r
+                .windows
+                .iter()
+                .map(|w| w.per_category_per_node_per_sec[i] * w.mean_active_nodes * 60.0)
+                .sum();
+            assert!(
+                (from_windows - total as f64).abs() < 1e-6 * total.max(1) as f64,
+                "{name}: windows {from_windows} vs total {total}"
+            );
+        }
+
+        let node_us = delta(ACTIVE_NODE_US);
+        assert!(node_us > 0);
+        assert_eq!(r.node_seconds, node_us as f64 / 1e6);
+        assert_eq!((r.node_seconds * 1e6).round() as u64, node_us);
     }
 
     #[test]

@@ -180,6 +180,8 @@ impl<'a> Reader<'a> {
     }
 }
 
+// A message's wire tag is its `Message::kind_index() + 1`; decoding maps
+// the tags back (the round-trip test pins the correspondence).
 const T_JOIN_REQUEST: u8 = 1;
 const T_JOIN_REPLY: u8 = 2;
 const T_LS_PROBE: u8 = 3;
@@ -206,15 +208,14 @@ const T_LEAVING: u8 = 22;
 /// Encodes a message to bytes.
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut w = Writer::new();
+    w.u8(msg.kind_index() as u8 + 1);
     match msg {
         Message::JoinRequest { joiner, rows, hops } => {
-            w.u8(T_JOIN_REQUEST);
             w.id(*joiner);
             w.rows(rows);
             w.u32(*hops);
         }
         Message::JoinReply { rows, leaf_set } => {
-            w.u8(T_JOIN_REPLY);
             w.rows(rows);
             w.ids(leaf_set);
         }
@@ -223,7 +224,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             failed,
             trt_hint,
         } => {
-            w.u8(T_LS_PROBE);
             w.ids(leaf_set);
             w.ids(failed);
             w.opt_u64(*trt_hint);
@@ -233,45 +233,30 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             failed,
             trt_hint,
         } => {
-            w.u8(T_LS_PROBE_REPLY);
             w.ids(leaf_set);
             w.ids(failed);
             w.opt_u64(*trt_hint);
         }
-        Message::Heartbeat { trt_hint } => {
-            w.u8(T_HEARTBEAT);
-            w.opt_u64(*trt_hint);
-        }
-        Message::RtProbe { nonce } => {
-            w.u8(T_RT_PROBE);
-            w.u64(*nonce);
-        }
+        Message::Heartbeat { trt_hint } => w.opt_u64(*trt_hint),
+        Message::RtProbe { nonce } => w.u64(*nonce),
         Message::RtProbeReply { nonce, trt_hint } => {
-            w.u8(T_RT_PROBE_REPLY);
             w.u64(*nonce);
             w.opt_u64(*trt_hint);
         }
-        Message::RtRowRequest { row } => {
-            w.u8(T_RT_ROW_REQUEST);
-            w.u64(*row as u64);
-        }
+        Message::RtRowRequest { row } => w.u64(*row as u64),
         Message::RtRowReply { row, entries } => {
-            w.u8(T_RT_ROW_REPLY);
             w.u64(*row as u64);
             w.ids(entries);
         }
         Message::RtRowAnnounce { row, entries } => {
-            w.u8(T_RT_ROW_ANNOUNCE);
             w.u64(*row as u64);
             w.ids(entries);
         }
         Message::RtSlotRequest { row, col } => {
-            w.u8(T_RT_SLOT_REQUEST);
             w.u64(*row as u64);
             w.u8(*col);
         }
         Message::RtSlotReply { row, col, entry } => {
-            w.u8(T_RT_SLOT_REPLY);
             w.u64(*row as u64);
             w.u8(*col);
             match entry {
@@ -282,29 +267,13 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                 }
             }
         }
-        Message::DistanceProbe { nonce } => {
-            w.u8(T_DISTANCE_PROBE);
-            w.u64(*nonce);
-        }
-        Message::DistanceProbeReply { nonce } => {
-            w.u8(T_DISTANCE_PROBE_REPLY);
-            w.u64(*nonce);
-        }
-        Message::DistanceReport { rtt_us } => {
-            w.u8(T_DISTANCE_REPORT);
-            w.u64(*rtt_us);
-        }
-        Message::NnLeafSetRequest => w.u8(T_NN_LEAFSET_REQUEST),
-        Message::NnLeafSetReply { nodes } => {
-            w.u8(T_NN_LEAFSET_REPLY);
-            w.ids(nodes);
-        }
-        Message::NnRowRequest { row } => {
-            w.u8(T_NN_ROW_REQUEST);
-            w.u64(*row as u64);
-        }
+        Message::DistanceProbe { nonce } => w.u64(*nonce),
+        Message::DistanceProbeReply { nonce } => w.u64(*nonce),
+        Message::DistanceReport { rtt_us } => w.u64(*rtt_us),
+        Message::NnLeafSetRequest | Message::Leaving => {}
+        Message::NnLeafSetReply { nodes } => w.ids(nodes),
+        Message::NnRowRequest { row } => w.u64(*row as u64),
         Message::NnRowReply { row, nodes } => {
-            w.u8(T_NN_ROW_REPLY);
             w.u64(*row as u64);
             w.ids(nodes);
         }
@@ -317,7 +286,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             is_retransmit,
             wants_acks,
         } => {
-            w.u8(T_LOOKUP);
             w.lookup_id(*id);
             w.id(*key);
             w.u64(*payload);
@@ -326,11 +294,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             w.bool(*is_retransmit);
             w.bool(*wants_acks);
         }
-        Message::Ack { id } => {
-            w.u8(T_ACK);
-            w.lookup_id(*id);
-        }
-        Message::Leaving => w.u8(T_LEAVING),
+        Message::Ack { id } => w.lookup_id(*id),
     }
     w.buf
 }
@@ -608,6 +572,15 @@ mod tests {
         for msg in samples() {
             assert_eq!(encoded_len(&msg), encode(&msg).len(), "{msg:?}");
         }
+    }
+
+    #[test]
+    fn kind_indices_cover_every_variant() {
+        let mut seen = [false; crate::messages::N_KINDS];
+        for msg in samples() {
+            seen[msg.kind_index()] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "unnamed kinds: {seen:?}");
     }
 
     #[test]

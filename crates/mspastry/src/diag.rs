@@ -9,7 +9,10 @@
 //! count.
 
 use crate::events::DropReason;
-use crate::messages::LookupId;
+use crate::messages::{
+    LookupId, Message, N_CATEGORIES, N_KINDS, SENT_BYTES_COUNTER, SENT_CATEGORY_COUNTERS,
+    SENT_KIND_COUNTERS,
+};
 use obs::{CounterId, HistId, HopEvent, Obs};
 
 /// Why a leaf-set probe was started.
@@ -59,6 +62,9 @@ pub(crate) struct NodeObs {
     obs: Obs,
     probe_cause: [CounterId; N_PROBE_CAUSES],
     drop_reason: [CounterId; 3],
+    sent_kind: [CounterId; N_KINDS],
+    sent_category: [CounterId; N_CATEGORIES],
+    sent_bytes: CounterId,
     pns_measured: CounterId,
     pns_replaced: CounterId,
     final_retx: CounterId,
@@ -76,6 +82,9 @@ impl NodeObs {
         NodeObs {
             probe_cause: std::array::from_fn(|i| obs.counter(PROBE_CAUSE_COUNTERS[i])),
             drop_reason: std::array::from_fn(|i| obs.counter(DROP_REASON_COUNTERS[i])),
+            sent_kind: std::array::from_fn(|i| obs.counter(SENT_KIND_COUNTERS[i])),
+            sent_category: std::array::from_fn(|i| obs.counter(SENT_CATEGORY_COUNTERS[i])),
+            sent_bytes: obs.counter(SENT_BYTES_COUNTER),
             pns_measured: obs.counter("pns.measured"),
             pns_replaced: obs.counter("pns.replaced"),
             final_retx: obs.counter("lookup.final-retx"),
@@ -93,6 +102,16 @@ impl NodeObs {
     #[inline]
     pub(crate) fn cause(&self, c: ProbeCause) {
         self.obs.inc(self.probe_cause[c as usize]);
+    }
+
+    /// Counts one transmission of `msg`: its kind, its category and its
+    /// wire bytes.
+    #[inline]
+    pub(crate) fn sent(&self, msg: &Message) {
+        self.obs.inc(self.sent_kind[msg.kind_index()]);
+        self.obs.inc(self.sent_category[msg.category() as usize]);
+        self.obs
+            .add(self.sent_bytes, crate::codec::encoded_len(msg) as u64);
     }
 
     #[inline]
@@ -197,7 +216,26 @@ mod tests {
         n.pns_measured();
         n.rtt_sample(100);
         n.retx_attempt(3);
+        n.sent(&Message::Leaving);
         assert!(!n.sampled(LookupId { src: Id(1), seq: 1 }));
+    }
+
+    #[test]
+    fn a_send_bumps_its_kind_category_and_bytes() {
+        let run = Obs::new(0.0, 16, false);
+        let n = NodeObs::new(run.clone());
+        let ack = Message::Ack {
+            id: LookupId { src: Id(1), seq: 2 },
+        };
+        n.sent(&ack);
+        n.sent(&Message::Leaving);
+        let s = run.snapshot();
+        assert_eq!(s.counter("sent.ack"), 1);
+        assert_eq!(s.counter("sent.leaving"), 1);
+        assert_eq!(s.counter("sent.category.acks-retransmits"), 1);
+        assert_eq!(s.counter("sent.category.leafset-hb-probes"), 1);
+        let bytes = crate::codec::encoded_len(&ack) + crate::codec::encoded_len(&Message::Leaving);
+        assert_eq!(s.counter("sent.bytes"), bytes as u64);
     }
 
     #[test]

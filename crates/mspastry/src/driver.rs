@@ -9,14 +9,15 @@
 //!
 //! * [`Host`] is the narrow wire/clock/application surface a deployment must
 //!   provide — send a message, arm a one-shot timer, hand a delivery to the
-//!   application, observe activation and drops. A delivery comes with a
+//!   application, observe activation. A delivery comes with a
 //!   borrow of the delivering [`Node`], so state only some applications
 //!   need, such as [`Node::replica_set`], is computed by the host that
 //!   reads it and by no other.
 //! * [`Driver`] owns the [`Node`] plus a reusable action buffer and runs the
 //!   interpretation loop allocation-free: `step` swaps the buffer into the
 //!   node's [`Effects`], dispatches each resulting action to the host, and
-//!   keeps the buffer's capacity for the next event.
+//!   keeps the buffer's capacity for the next event. It counts every send in
+//!   the node's registry, so both hosts report traffic under the same names.
 //! * [`Clock`] abstracts the host's time source; [`WallClock`] is the
 //!   real-time implementation used by the UDP transport. The simulator's
 //!   virtual time comes straight from its event queue, so it passes
@@ -25,7 +26,7 @@
 //! Hosts never match on [`Action`] themselves; protocol outputs reach them
 //! only through the [`Host`] trait, so sim and deployment cannot drift.
 
-use crate::events::{Action, DropReason, Effects, Event, TimerKind};
+use crate::events::{Action, Effects, Event, TimerKind};
 use crate::id::{Key, NodeId};
 use crate::messages::{LookupId, Message, Payload};
 use crate::node::Node;
@@ -65,8 +66,6 @@ pub trait Host {
     fn deliver(&mut self, delivery: Delivery, node: &Node);
     /// The node completed its join and became active.
     fn became_active(&mut self);
-    /// A lookup was dropped; reported for loss accounting.
-    fn lookup_dropped(&mut self, id: LookupId, reason: DropReason);
 }
 
 /// Owns a [`Node`] and executes its actions against a [`Host`].
@@ -95,7 +94,7 @@ impl Driver {
     }
 
     /// Feeds one event to the node at time `now_us` and dispatches every
-    /// resulting action to `host`.
+    /// resulting action to `host`, counting each send in the registry.
     pub fn step(&mut self, now_us: u64, event: Event, host: &mut impl Host) {
         let mut fx = Effects {
             actions: std::mem::take(&mut self.buf),
@@ -104,7 +103,10 @@ impl Driver {
         self.node.handle(now_us, event, &mut fx);
         for action in fx.actions.drain(..) {
             match action {
-                Action::Send { to, msg } => host.send(to, msg),
+                Action::Send { to, msg } => {
+                    self.node.ctx.obs.sent(&msg);
+                    host.send(to, msg);
+                }
                 Action::SetTimer { delay_us, kind } => host.set_timer(delay_us, kind),
                 Action::Deliver {
                     id,
@@ -123,7 +125,6 @@ impl Driver {
                     &self.node,
                 ),
                 Action::BecameActive => host.became_active(),
-                Action::LookupDropped { id, reason } => host.lookup_dropped(id, reason),
             }
         }
         self.buf = fx.actions;
@@ -176,7 +177,6 @@ mod tests {
         timers: Vec<(u64, TimerKind)>,
         delivered: Vec<Delivery>,
         activations: usize,
-        drops: Vec<(LookupId, DropReason)>,
     }
 
     impl Host for MockHost {
@@ -191,9 +191,6 @@ mod tests {
         }
         fn became_active(&mut self) {
             self.activations += 1;
-        }
-        fn lookup_dropped(&mut self, id: LookupId, reason: DropReason) {
-            self.drops.push((id, reason));
         }
     }
 

@@ -9,7 +9,8 @@
 //! An action carries only what every host consumes. [`Action::Deliver`]
 //! names the lookup, not the replica set of its key: a host that stores
 //! data asks the node for [`crate::Node::replica_set`] when the driver
-//! hands it the delivery ([`crate::driver::Host::deliver`]).
+//! hands it the delivery ([`crate::driver::Host::deliver`]). A dropped
+//! lookup is no action: the node counts it as `lookup.drop.<reason>`.
 
 use crate::id::{Key, NodeId};
 use crate::messages::{LookupId, Message, Payload};
@@ -119,14 +120,6 @@ pub enum Action {
     },
     /// The node completed its join and became active.
     BecameActive,
-    /// A lookup was dropped (no route remained); reported for the loss-rate
-    /// metric.
-    LookupDropped {
-        /// The dropped lookup.
-        id: LookupId,
-        /// Human-readable reason.
-        reason: DropReason,
-    },
 }
 
 /// Why a lookup was dropped by a node.

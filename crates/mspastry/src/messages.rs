@@ -22,21 +22,22 @@ pub struct LookupId {
 pub type Payload = u64;
 
 /// Broad classification of messages for the paper's control-traffic
-/// breakdown (Figure 4, right).
+/// breakdown (Figure 4, right), declared in report order: the five control
+/// categories, then first-transmission lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
-    /// Application lookups on their first transmission at each hop.
-    Lookup,
-    /// Join requests/replies and nearest-neighbour discovery.
-    Join,
+    /// Distance probes, replies and symmetric reports.
+    DistanceProbe,
     /// Leaf-set heartbeats and leaf-set probes/replies.
     LeafSet,
     /// Routing-table liveness probes/replies and maintenance rows.
     RtProbe,
-    /// Distance probes, replies and symmetric reports.
-    DistanceProbe,
     /// Per-hop acks and rerouted (retransmitted) lookups.
     AckRetransmit,
+    /// Join requests/replies and nearest-neighbour discovery.
+    Join,
+    /// Application lookups on their first transmission at each hop.
+    Lookup,
 }
 
 /// All MSPastry protocol messages.
@@ -234,41 +235,83 @@ impl Message {
         }
     }
 
-    /// `true` for messages counted as control traffic (everything except
-    /// first-transmission lookups).
-    pub fn is_control(&self) -> bool {
-        self.category() != Category::Lookup
+    /// The message variant's index into [`KIND_NAMES`]; its wire tag is the
+    /// index plus one.
+    pub fn kind_index(&self) -> usize {
+        use Message::*;
+        match self {
+            JoinRequest { .. } => 0,
+            JoinReply { .. } => 1,
+            LsProbe { .. } => 2,
+            LsProbeReply { .. } => 3,
+            Heartbeat { .. } => 4,
+            RtProbe { .. } => 5,
+            RtProbeReply { .. } => 6,
+            RtRowRequest { .. } => 7,
+            RtRowReply { .. } => 8,
+            RtRowAnnounce { .. } => 9,
+            RtSlotRequest { .. } => 10,
+            RtSlotReply { .. } => 11,
+            DistanceProbe { .. } => 12,
+            DistanceProbeReply { .. } => 13,
+            DistanceReport { .. } => 14,
+            NnLeafSetRequest => 15,
+            NnLeafSetReply { .. } => 16,
+            NnRowRequest { .. } => 17,
+            NnRowReply { .. } => 18,
+            Lookup { .. } => 19,
+            Ack { .. } => 20,
+            Leaving => 21,
+        }
     }
 
     /// The message variant's name, for fine-grained traffic diagnostics.
     pub fn kind_name(&self) -> &'static str {
-        use Message::*;
-        match self {
-            JoinRequest { .. } => "join-request",
-            JoinReply { .. } => "join-reply",
-            LsProbe { .. } => "ls-probe",
-            LsProbeReply { .. } => "ls-probe-reply",
-            Heartbeat { .. } => "heartbeat",
-            RtProbe { .. } => "rt-probe",
-            RtProbeReply { .. } => "rt-probe-reply",
-            RtRowRequest { .. } => "rt-row-request",
-            RtRowReply { .. } => "rt-row-reply",
-            RtRowAnnounce { .. } => "rt-row-announce",
-            RtSlotRequest { .. } => "rt-slot-request",
-            RtSlotReply { .. } => "rt-slot-reply",
-            DistanceProbe { .. } => "distance-probe",
-            DistanceProbeReply { .. } => "distance-probe-reply",
-            DistanceReport { .. } => "distance-report",
-            NnLeafSetRequest => "nn-leafset-request",
-            NnLeafSetReply { .. } => "nn-leafset-reply",
-            NnRowRequest { .. } => "nn-row-request",
-            NnRowReply { .. } => "nn-row-reply",
-            Lookup { .. } => "lookup",
-            Ack { .. } => "ack",
-            Leaving => "leaving",
-        }
+        KIND_NAMES[self.kind_index()]
     }
 }
+
+/// Declares a table of names and the table of registry counters that
+/// count each name's transmissions under `prefix`, in the same order.
+macro_rules! counter_names {
+    ($(#[$nd:meta])* $names:ident; $(#[$cd:meta])* $counters:ident = $prefix:literal;
+     $($name:literal)+) => {
+        $(#[$nd])*
+        pub const $names: [&str; [$($name),+].len()] = [$($name),+];
+        $(#[$cd])*
+        pub const $counters: [&str; $names.len()] = [$(concat!($prefix, $name)),+];
+    };
+}
+
+counter_names! {
+    /// Message variant names, indexed by [`Message::kind_index`].
+    KIND_NAMES;
+    /// Registry counters `sent.<kind>`, indexed by [`Message::kind_index`].
+    SENT_KIND_COUNTERS = "sent.";
+    "join-request" "join-reply" "ls-probe" "ls-probe-reply" "heartbeat"
+    "rt-probe" "rt-probe-reply" "rt-row-request" "rt-row-reply" "rt-row-announce"
+    "rt-slot-request" "rt-slot-reply" "distance-probe" "distance-probe-reply"
+    "distance-report" "nn-leafset-request" "nn-leafset-reply" "nn-row-request"
+    "nn-row-reply" "lookup" "ack" "leaving"
+}
+
+counter_names! {
+    /// Category names, indexed by `category as usize` (report order).
+    CATEGORY_NAMES;
+    /// Registry counters `sent.category.<name>`, indexed by
+    /// `category as usize`.
+    SENT_CATEGORY_COUNTERS = "sent.category.";
+    "distance-probes" "leafset-hb-probes" "rt-probes" "acks-retransmits" "join" "lookups"
+}
+
+/// Registry counter of wire bytes sent, per [`crate::codec::encoded_len`].
+pub const SENT_BYTES_COUNTER: &str = "sent.bytes";
+
+/// Number of message variants.
+pub const N_KINDS: usize = KIND_NAMES.len();
+
+/// Number of message categories.
+pub const N_CATEGORIES: usize = CATEGORY_NAMES.len();
 
 #[cfg(test)]
 mod tests {
@@ -291,8 +334,6 @@ mod tests {
     fn lookup_category_depends_on_retransmission() {
         assert_eq!(lookup(false).category(), Category::Lookup);
         assert_eq!(lookup(true).category(), Category::AckRetransmit);
-        assert!(!lookup(false).is_control());
-        assert!(lookup(true).is_control());
     }
 
     #[test]

@@ -169,17 +169,14 @@ impl Node {
             self.ctx.obs.hop(ev);
         }
         if !self.ctx.active {
-            self.buffer_lookup(
-                BufferedLookup {
-                    id,
-                    key,
-                    payload,
-                    hops: 0,
-                    issued_at_us: self.ctx.now_us,
-                    wants_acks: true,
-                },
-                fx,
-            );
+            self.buffer_lookup(BufferedLookup {
+                id,
+                key,
+                payload,
+                hops: 0,
+                issued_at_us: self.ctx.now_us,
+                wants_acks: true,
+            });
             return;
         }
         self.route_lookup(
@@ -197,7 +194,7 @@ impl Node {
         );
     }
 
-    pub(crate) fn buffer_lookup(&mut self, bl: BufferedLookup, fx: &mut Effects) {
+    pub(crate) fn buffer_lookup(&mut self, bl: BufferedLookup) {
         if self.reliability.buffered.len() >= self.ctx.cfg.join_buffer_cap {
             let reason = DropReason::BufferOverflow;
             let ev = self.ctx.hop_ev(
@@ -210,7 +207,6 @@ impl Node {
                 reason.as_str(),
             );
             self.ctx.obs.drop_event(reason, ev);
-            fx.actions.push(Action::LookupDropped { id: bl.id, reason });
             return;
         }
         self.reliability.buffered.push(bl);
@@ -258,17 +254,14 @@ impl Node {
             return; // duplicate copy of a retransmitted or rerouted lookup
         }
         if !self.ctx.active {
-            self.buffer_lookup(
-                BufferedLookup {
-                    id,
-                    key,
-                    payload,
-                    hops,
-                    issued_at_us,
-                    wants_acks,
-                },
-                fx,
-            );
+            self.buffer_lookup(BufferedLookup {
+                id,
+                key,
+                payload,
+                hops,
+                issued_at_us,
+                wants_acks,
+            });
             return;
         }
         self.route_lookup(
@@ -337,7 +330,6 @@ impl Node {
                         reason.as_str(),
                     );
                     self.ctx.obs.drop_event(reason, ev);
-                    fx.actions.push(Action::LookupDropped { id, reason });
                     return;
                 }
                 let root = self.ls.closest_to(key, |_| false);
@@ -560,7 +552,6 @@ impl Node {
                     reason.as_str(),
                 );
                 self.ctx.obs.drop_event(reason, ev);
-                fx.actions.push(Action::LookupDropped { id, reason });
                 return;
             }
             // Budget exhausted: fall through to exclude the root and deliver
@@ -582,7 +573,6 @@ impl Node {
                 reason.as_str(),
             );
             self.ctx.obs.drop_event(reason, ev);
-            fx.actions.push(Action::LookupDropped { id, reason });
             return;
         }
         self.ctx.obs.reroute();

@@ -6,9 +6,8 @@
 //! change freely without touching them. Timer-free message pumping only —
 //! the full asynchronous behaviour is exercised by the simulator tests.
 
-use mspastry::{
-    Action, Config, DropReason, Effects, Event, Id, LookupId, Message, Node, NodeId, TimerKind,
-};
+use mspastry::{Action, Config, Effects, Event, Id, LookupId, Message, Node, NodeId, TimerKind};
+use obs::Obs;
 
 fn cfg() -> Config {
     Config {
@@ -67,15 +66,20 @@ fn trio() -> (Vec<Node>, [NodeId; 3]) {
 }
 
 fn trio_with(cfg: Config) -> (Vec<Node>, [NodeId; 3]) {
+    trio_obs(cfg, Obs::disabled())
+}
+
+/// [`trio_with`], with every node counting into `obs`'s registry.
+fn trio_obs(cfg: Config, obs: Obs) -> (Vec<Node>, [NodeId; 3]) {
     let ids = [Id(10 << 100), Id(200 << 100), Id(300 << 100)];
-    let mut a = Node::new(ids[0], cfg.clone());
+    let mut a = Node::with_obs(ids[0], cfg.clone(), obs.clone());
     let mut fx = Effects::new();
     a.handle(0, Event::Join { seed: None }, &mut fx);
-    let mut b = Node::new(ids[1], cfg.clone());
+    let mut b = Node::with_obs(ids[1], cfg.clone(), obs.clone());
     let qb = start_join(&mut b, Some(ids[0]), 1);
     let mut nodes = vec![a, b];
     pump(&mut nodes, qb, 2);
-    let mut c = Node::new(ids[2], cfg);
+    let mut c = Node::with_obs(ids[2], cfg, obs);
     let qc = start_join(&mut c, Some(ids[0]), 3);
     nodes.push(c);
     pump(&mut nodes, qc, 4);
@@ -286,10 +290,15 @@ fn root_retransmissions_stop_at_the_leaf_set_detection_time() {
     // verdict. Here the root's probe never resolves (it "answers probes"
     // while every ack is lost), so only the chain's time limit ends it,
     // long before the 13-attempt budget runs out.
-    let (mut nodes, ids) = trio_with(Config {
-        exclude_root_on_ack_timeout: false,
-        ..cfg()
-    });
+    let run = Obs::new(0.0, 16, false);
+    let (mut nodes, ids) = trio_obs(
+        Config {
+            exclude_root_on_ack_timeout: false,
+            ..cfg()
+        },
+        run.clone(),
+    );
+    let dropped = || run.snapshot().counter("lookup.drop.too-many-reroutes");
     let b_id = ids[1];
     let key = Id((200 << 100) + 1);
     let first_sent = 100;
@@ -323,16 +332,12 @@ fn root_retransmissions_stop_at_the_leaf_set_detection_time() {
     assert!(copy_to_root(&a0), "first timeout retransmits: {a0:?}");
     let a1 = timeout(&mut nodes[0], first_sent + limit - 1, 1);
     assert!(copy_to_root(&a1), "still inside the limit: {a1:?}");
+    assert_eq!(dropped(), 0);
     let a2 = timeout(&mut nodes[0], first_sent + limit, 2);
     assert!(!copy_to_root(&a2), "no copy once the limit has passed");
-    assert!(
-        a2.iter().any(|a| matches!(
-            a,
-            Action::LookupDropped {
-                reason: DropReason::TooManyReroutes,
-                ..
-            }
-        )),
+    assert_eq!(
+        dropped(),
+        1,
         "chain ends as when the budget runs out: {a2:?}"
     );
 }
@@ -612,31 +617,26 @@ fn duplicate_lookups_are_acked_but_not_reprocessed() {
 fn join_buffer_overflow_reports_drops() {
     let mut cfg2 = cfg();
     cfg2.join_buffer_cap = 2;
-    let mut n = Node::new(Id(5), cfg2);
+    let run = Obs::new(0.0, 16, false);
+    let mut n = Node::with_obs(Id(5), cfg2, run.clone());
     // Not joined yet: local lookups buffer; the third overflows.
-    let mut drops = 0;
     for i in 0..3 {
-        drops += step(
+        step(
             &mut n,
             i,
             Event::Lookup {
                 key: Id(i as u128),
                 payload: i,
             },
-        )
-        .iter()
-        .filter(|a| {
-            matches!(
-                a,
-                Action::LookupDropped {
-                    reason: DropReason::BufferOverflow,
-                    ..
-                }
-            )
-        })
-        .count();
+        );
     }
-    assert_eq!(drops, 1);
+    let s = run.snapshot();
+    assert_eq!(s.counter("lookup.drop.buffer-overflow"), 1);
+    let all_drops: u64 = mspastry::diag::DROP_REASON_COUNTERS
+        .iter()
+        .map(|c| s.counter(c))
+        .sum();
+    assert_eq!(all_drops, 1);
 }
 
 #[test]

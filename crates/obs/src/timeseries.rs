@@ -10,8 +10,8 @@
 //! The sampler is a pure observer: it only *reads* snapshots the caller
 //! hands it, so enabling it cannot perturb a simulation (pinned by
 //! `crates/harness/tests/determinism.rs`). Who drives the cadence is the
-//! host's business: the simulator samples on virtual-time events from its
-//! queue, the UDP deployment on wall-clock ticks.
+//! host's business: the simulator samples before its first event at or after
+//! each virtual-time sample point, the UDP deployment on wall-clock ticks.
 //!
 //! The series is bounded: past `max_windows` the *oldest* windows are
 //! dropped (and counted) — mirroring the flight recorder, a post-mortem

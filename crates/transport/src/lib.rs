@@ -40,8 +40,7 @@ pub use envelope::Envelope;
 pub use metrics::{Health, MetricsServer, Published};
 
 use mspastry::{
-    Clock, Config, Driver, DropReason, Event, Host, Key, LookupId, Message, Node, NodeId, Payload,
-    TimerKind, WallClock,
+    Clock, Config, Driver, Event, Host, Key, Message, Node, NodeId, Payload, TimerKind, WallClock,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -341,8 +340,6 @@ impl Host for UdpHost<'_> {
     fn became_active(&mut self) {
         self.io.active.store(true, Ordering::Release);
     }
-
-    fn lookup_dropped(&mut self, _id: LookupId, _reason: DropReason) {}
 }
 
 /// How long [`UdpNode::spawn_with`] waits for the loop thread to step the

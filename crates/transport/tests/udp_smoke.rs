@@ -79,6 +79,12 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String, String) 
     (status.to_string(), headers.to_string(), body.to_string())
 }
 
+/// The value of the unlabelled sample `name` in an exposition body.
+fn sample(body: &str, name: &str) -> Option<f64> {
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
 #[test]
 fn metrics_endpoint_serves_wellformed_exposition_and_healthz() {
     // Two-node overlay with telemetry on: joining generates real UDP
@@ -102,7 +108,8 @@ fn metrics_endpoint_serves_wellformed_exposition_and_healthz() {
     let addr = boot.metrics_addr().expect("telemetry on => metrics addr");
 
     // The first snapshot is published up to one publish period after spawn;
-    // poll until the listener stops answering 503.
+    // poll until the listener stops answering 503 and the published
+    // snapshot includes the bootstrap's reply to the join.
     let deadline = Instant::now() + Duration::from_secs(10);
     let body = loop {
         let (status, headers, body) = http_get(addr, "/metrics");
@@ -111,12 +118,26 @@ fn metrics_endpoint_serves_wellformed_exposition_and_healthz() {
                 headers.contains("text/plain; version=0.0.4"),
                 "exposition content type, got: {headers}"
             );
-            break body;
+            if sample(&body, "mspastry_sent_join_reply_total").is_some_and(|v| v > 0.0) {
+                break body;
+            }
+        } else {
+            assert!(status.contains("503"), "only 503 before first publish");
         }
-        assert!(status.contains("503"), "only 503 before first publish");
-        assert!(Instant::now() < deadline, "no snapshot published in time");
+        assert!(Instant::now() < deadline, "no join reply published in time");
         std::thread::sleep(Duration::from_millis(25));
     };
+    // Sends are counted under the simulator's names: per kind, per
+    // category and in wire bytes.
+    for name in [
+        "mspastry_sent_category_join_total",
+        "mspastry_sent_bytes_total",
+    ] {
+        assert!(
+            sample(&body, name).is_some_and(|v| v > 0.0),
+            "{name} missing or zero"
+        );
+    }
 
     // Well-formedness: every non-comment line is `name[{labels}] value` with
     // a parseable f64 value and a `mspastry_`-prefixed metric name.

@@ -4,7 +4,9 @@
 Usage: check_artifact.py RUN_JSON [TRACE_JSONL] [--timeseries TS_JSONL]
 
 Checks that RUN_JSON is a well-formed `mspastry-run/1` document (single
-run) or `mspastry-series/2` document (aggregated multi-seed sweep from
+run: every `report.fine_counts` kind needs a `diag` counter `sent.<kind>`
+at least as large, and `diag` must have `overlay.active_node_us`) or
+`mspastry-series/2` document (aggregated multi-seed sweep from
 `--scenario`: every point reports the same metrics, and one metrics
 window list per seed with strictly increasing `start_us`), that
 TRACE_JSONL parses line by line, and that at least
@@ -106,6 +108,16 @@ def check_run(path):
     for hist in ("lookup.latency_us", "lookup.hops", "node.rtt_sample_us"):
         if hist not in diag["histograms"]:
             fail(f"diag missing histogram {hist!r}")
+    # The report's traffic figures are window deltas of registry counters:
+    # the post-warmup fine counts can never exceed the whole-run sends.
+    counters = diag["counters"]
+    if "overlay.active_node_us" not in counters:
+        fail("diag missing counter 'overlay.active_node_us'")
+    for kind, n in report.get("fine_counts", {}).items():
+        sent = counters.get(f"sent.{kind}")
+        if sent is None or sent < n:
+            fail(f"report.fine_counts[{kind!r}] = {n} but diag counter "
+                 f"'sent.{kind}' is {sent}")
     h = diag["histograms"]["lookup.latency_us"]
     if h["count"] != sum(c for _, c in h["buckets"]):
         fail("histogram bucket counts do not sum to count")
