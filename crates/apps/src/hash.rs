@@ -23,16 +23,6 @@ pub fn object_key(object_id: u64) -> Key {
     Id(((hi as u128) << 64) | lo as u128)
 }
 
-/// Hashes an arbitrary byte string (e.g. a URL) to a 128-bit overlay key.
-pub fn url_key(url: &str) -> Key {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in url.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3); // FNV-1a step
-    }
-    object_key(h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,8 +31,6 @@ mod tests {
     fn keys_are_deterministic_and_distinct() {
         assert_eq!(object_key(1), object_key(1));
         assert_ne!(object_key(1), object_key(2));
-        assert_eq!(url_key("http://a/"), url_key("http://a/"));
-        assert_ne!(url_key("http://a/"), url_key("http://b/"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `mspastry-sim --scenario NAME` runs any of them as a multi-seed sweep and
 //! writes the `mspastry-series/2` artifact, with each figure's own numbers
 //! as named per-point metrics. `benches/` holds only the criterion
-//! micro-benches and the simulator throughput benchmark.
+//! micro-benches; the repository benchmark is `perfbench/`.
 //!
 //! Two scales are supported, selected by the `MSPASTRY_SCALE` environment
 //! variable:

@@ -6,8 +6,7 @@
 //! Microsoft corporate network) plus artificial Poisson traces. The real
 //! trace files are not public, so this crate generates synthetic traces that
 //! match the published summary statistics and diurnal/weekly shape (see
-//! DESIGN.md, substitution #1). Traces are deterministic for a given seed and
-//! round-trip through a small CSV format.
+//! DESIGN.md, substitution #1). Traces are deterministic for a given seed.
 //!
 //! # Example
 //!
@@ -30,4 +29,4 @@ pub mod trace;
 
 pub use dist::SessionDist;
 pub use synth::{PopulationProfile, SynthParams};
-pub use trace::{ParseTraceError, Session, Trace, TraceEvent};
+pub use trace::{Session, Trace, TraceEvent};

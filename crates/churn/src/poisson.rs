@@ -37,14 +37,6 @@ impl PoissonParams {
     /// The paper's sweep of mean session times, in minutes.
     pub const SESSION_MINUTES: [u64; 6] = [5, 15, 30, 60, 120, 600];
 
-    /// Preset with the given mean session time in minutes.
-    pub fn with_session_minutes(minutes: u64) -> Self {
-        PoissonParams {
-            mean_session_us: minutes as f64 * 60e6,
-            ..Self::default()
-        }
-    }
-
     /// Quick preset: 300 nodes, 1 simulated hour.
     pub fn quick(minutes: u64) -> Self {
         PoissonParams {

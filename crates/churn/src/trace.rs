@@ -6,8 +6,6 @@
 //! `depart_us`. Sessions whose departure lies beyond the trace horizon never
 //! fail during the experiment.
 
-use std::fmt;
-
 /// One node session: the node arrives, stays for a while, then departs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Session {
@@ -41,21 +39,6 @@ pub struct Trace {
     duration_us: u64,
     sessions: Vec<Session>,
 }
-
-/// Error parsing a trace from its CSV representation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    line: usize,
-    reason: String,
-}
-
-impl fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid trace at line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
 
 impl Trace {
     /// Creates a trace from raw sessions.
@@ -162,68 +145,6 @@ impl Trace {
         }
         out
     }
-
-    /// Serialises the trace to a small CSV format:
-    /// `name,duration_us` header line followed by `arrive_us,depart_us` rows.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{},{}\n", self.name, self.duration_us));
-        for s in &self.sessions {
-            out.push_str(&format!("{},{}\n", s.arrive_us, s.depart_us));
-        }
-        out
-    }
-
-    /// Parses a trace from the CSV format produced by [`Trace::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseTraceError`] on malformed headers, fields, or sessions
-    /// that depart before they arrive.
-    pub fn from_csv(text: &str) -> Result<Self, ParseTraceError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(ParseTraceError {
-            line: 0,
-            reason: "empty input".into(),
-        })?;
-        let (name, dur) = header.split_once(',').ok_or(ParseTraceError {
-            line: 1,
-            reason: "header must be `name,duration_us`".into(),
-        })?;
-        let duration_us: u64 = dur.trim().parse().map_err(|e| ParseTraceError {
-            line: 1,
-            reason: format!("bad duration: {e}"),
-        })?;
-        let mut sessions = Vec::new();
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (a, d) = line.split_once(',').ok_or(ParseTraceError {
-                line: i + 1,
-                reason: "expected `arrive_us,depart_us`".into(),
-            })?;
-            let arrive_us: u64 = a.trim().parse().map_err(|e| ParseTraceError {
-                line: i + 1,
-                reason: format!("bad arrival: {e}"),
-            })?;
-            let depart_us: u64 = d.trim().parse().map_err(|e| ParseTraceError {
-                line: i + 1,
-                reason: format!("bad departure: {e}"),
-            })?;
-            if depart_us < arrive_us {
-                return Err(ParseTraceError {
-                    line: i + 1,
-                    reason: "session departs before it arrives".into(),
-                });
-            }
-            sessions.push(Session {
-                arrive_us,
-                depart_us,
-            });
-        }
-        Ok(Trace::new(name.trim().to_string(), duration_us, sessions))
-    }
 }
 
 #[cfg(test)]
@@ -276,25 +197,6 @@ mod tests {
         assert_eq!(t.median_session_us(), 50);
         let mean = (50.0 + 190.0 + 30.0) / 3.0;
         assert!((t.mean_session_us() - mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let t = sample();
-        let parsed = Trace::from_csv(&t.to_csv()).unwrap();
-        assert_eq!(t, parsed);
-    }
-
-    #[test]
-    fn parse_rejects_bad_header() {
-        assert!(Trace::from_csv("nonsense").is_err());
-        assert!(Trace::from_csv("").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_inverted_session() {
-        let err = Trace::from_csv("t,100\n50,10\n").unwrap_err();
-        assert!(err.to_string().contains("departs before"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property-based tests for trace invariants and the CSV codec.
+//! Property-based tests for trace invariants.
 
 use churn::{Session, Trace, TraceEvent};
 use proptest::prelude::*;
@@ -16,12 +16,6 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 }
 
 proptest! {
-    #[test]
-    fn csv_round_trips(trace in arb_trace()) {
-        let parsed = Trace::from_csv(&trace.to_csv()).unwrap();
-        prop_assert_eq!(trace, parsed);
-    }
-
     #[test]
     fn events_are_sorted_and_within_horizon(trace in arb_trace()) {
         let events = trace.events();

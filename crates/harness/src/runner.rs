@@ -20,17 +20,15 @@ use netsim::{EndpointId, EventQueue, Network};
 use obs::{CounterId, HistId, HopEvent, Obs, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
 use topology::{Topology, TopologyKind};
 
-/// Whether to echo every dropped lookup to stderr (`MSPASTRY_DEBUG_DROPS`);
-/// the environment is consulted once per process, not once per drop. The
-/// echo itself happens inside [`obs::Obs::drop_event`], with the full drop
-/// context (reason, lookup id, dropping node).
-fn debug_drops() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("MSPASTRY_DEBUG_DROPS").is_ok())
-}
+/// A lookup not delivered within this time of its issue counts as lost; a
+/// copy delivered within it of the first delivery counts as a duplicate.
+pub const LOOKUP_TIMEOUT_US: u64 = 60 * 1_000_000;
+
+/// Time-series windows kept in memory; past it the oldest are dropped (and
+/// counted), mirroring the flight recorder.
+pub const TS_MAX_WINDOWS: usize = 8_192;
 
 /// Sentinel for "not joining" in the endpoint-indexed join-start table.
 const NO_JOIN: u64 = u64::MAX;
@@ -110,8 +108,6 @@ pub struct RunConfig {
     /// Metrics window (the paper uses 10 min for Gnutella/OverNet, 1 h for
     /// Microsoft).
     pub metrics_window_us: u64,
-    /// A lookup not delivered within this time counts as lost.
-    pub lookup_timeout_us: u64,
     /// Master RNG seed.
     pub seed: u64,
     /// Record every application delivery in the result.
@@ -136,11 +132,8 @@ pub struct RunConfig {
     /// Time-series sampling cadence in virtual microseconds (0 disables the
     /// sampler). Sampling is a pure observer — it reads a registry snapshot
     /// before the first event at or after each sample point and never
-    /// perturbs the simulation.
+    /// perturbs the simulation. At most [`TS_MAX_WINDOWS`] are kept.
     pub ts_interval_us: u64,
-    /// Maximum time-series windows kept in memory; past it the oldest are
-    /// dropped (and counted), mirroring the flight recorder.
-    pub ts_max_windows: usize,
     /// Self-profile the run loop: per-event-kind dispatch counts and wall
     /// time, plus event-queue depth gauges, reported under
     /// [`RunResult::prof`]. Wall-clock readings are nondeterministic, so the
@@ -162,7 +155,6 @@ impl RunConfig {
             network_loss_rate: 0.0,
             warmup_us: 15 * 60 * 1_000_000,
             metrics_window_us: 10 * 60 * 1_000_000,
-            lookup_timeout_us: 60 * 1_000_000,
             seed: 1,
             record_deliveries: false,
             graceful_leave_fraction: 0.0,
@@ -170,7 +162,6 @@ impl RunConfig {
             trace_sample_rate: 0.0,
             trace_capacity: 65_536,
             ts_interval_us: 0,
-            ts_max_windows: 8_192,
             profile: false,
         }
     }
@@ -393,12 +384,12 @@ impl Runner {
         let topo = Topology::build(cfg.topology.clone());
         let mut net = Network::new(topo, cfg.seed ^ 0x6e65_7477);
         net.set_loss_rate(cfg.network_loss_rate);
-        let obs = Obs::new(cfg.trace_sample_rate, cfg.trace_capacity, debug_drops());
+        let obs = Obs::new(cfg.trace_sample_rate, cfg.trace_capacity);
         net.set_obs(obs.clone());
         let h_latency = obs.histogram("lookup.latency_us");
         let h_hops = obs.histogram("lookup.hops");
         let active_node_us = obs.counter(ACTIVE_NODE_US);
-        let metrics = Metrics::new(cfg.warmup_us, cfg.metrics_window_us, cfg.lookup_timeout_us);
+        let metrics = Metrics::new(cfg.warmup_us, cfg.metrics_window_us, LOOKUP_TIMEOUT_US);
         let end_us = cfg.warmup_us + cfg.trace.duration_us();
         let n_sessions = cfg.trace.sessions().len();
         let rng = SmallRng::seed_from_u64(cfg.seed);
@@ -411,7 +402,7 @@ impl Runner {
             _ => Vec::new(),
         };
         let timeseries = (cfg.ts_interval_us > 0)
-            .then(|| obs::TimeSeries::new(cfg.ts_interval_us, cfg.ts_max_windows));
+            .then(|| obs::TimeSeries::new(cfg.ts_interval_us, TS_MAX_WINDOWS));
         Runner {
             drivers: Vec::new(),
             prof: cfg.profile.then(Prof::new),
@@ -1138,18 +1129,6 @@ mod tests {
         // run). If retransmission chains ever outlast W, a late copy is
         // processed again in the bounded run only, and the runs diverge.
         let min = 60 * 1_000_000;
-        let lan = Config {
-            t_ls_us: 500_000,
-            t_o_us: 200_000,
-            self_tune_period_us: 1_000_000,
-            distance_probe_spacing_us: 20_000,
-            nn_probe_timeout_us: 100_000,
-            rt_maintenance_period_us: 2_000_000,
-            ack_rto_initial_us: 100_000,
-            ack_rto_min_us: 2_000,
-            join_retry_us: 1_000_000,
-            ..Config::default()
-        };
         let cases = [
             ("paper timings, exclude root", Config::default()),
             (
@@ -1163,7 +1142,7 @@ mod tests {
                 "lan timings, retry root",
                 Config {
                     exclude_root_on_ack_timeout: false,
-                    ..lan
+                    ..transport::lan_config()
                 },
             ),
         ];

@@ -83,11 +83,6 @@ pub fn gnutella_trace_seeded(s: Scale, seed: u64) -> Trace {
     }
 }
 
-/// The Gnutella-like trace at the given scale (seed index 0).
-pub fn gnutella_trace(s: Scale) -> Trace {
-    gnutella_trace_seeded(s, 0)
-}
-
 /// The OverNet-like trace at the given scale and seed index.
 pub fn overnet_trace_seeded(s: Scale, seed: u64) -> Trace {
     let shift = seed * SEED_TRACE_STRIDE;
@@ -102,11 +97,6 @@ pub fn overnet_trace_seeded(s: Scale, seed: u64) -> Trace {
             seed: OvernetParams::default().seed + shift,
         }),
     }
-}
-
-/// The OverNet-like trace at the given scale (seed index 0).
-pub fn overnet_trace(s: Scale) -> Trace {
-    overnet_trace_seeded(s, 0)
 }
 
 /// The Microsoft-corporate-like trace at the given scale and seed index.
@@ -125,11 +115,6 @@ pub fn microsoft_trace_seeded(s: Scale, seed: u64) -> Trace {
     }
 }
 
-/// The Microsoft-corporate-like trace at the given scale (seed index 0).
-pub fn microsoft_trace(s: Scale) -> Trace {
-    microsoft_trace_seeded(s, 0)
-}
-
 /// A short Gnutella-like trace for parameter sweeps (many runs). `point` is
 /// the scenario point's trace-seed offset; `seed` is the sweep seed index.
 pub fn gnutella_sweep_trace_seeded(s: Scale, point: u64, seed: u64) -> Trace {
@@ -145,11 +130,6 @@ pub fn gnutella_sweep_trace_seeded(s: Scale, point: u64, seed: u64) -> Trace {
             seed: 101 + p,
         }),
     }
-}
-
-/// A short Gnutella-like sweep trace (seed index 0).
-pub fn gnutella_sweep_trace(s: Scale, point: u64) -> Trace {
-    gnutella_sweep_trace_seeded(s, point, 0)
 }
 
 /// The GATech topology at the given scale.
@@ -724,7 +704,7 @@ mod tests {
 
     #[test]
     fn quick_traces_are_small() {
-        let t = gnutella_trace(Scale::Quick);
+        let t = gnutella_trace_seeded(Scale::Quick, 0);
         assert!(t.active_at(2 * HOUR) < 400);
         assert_eq!(t.duration_us(), 24 * HOUR);
     }
@@ -786,7 +766,7 @@ mod tests {
         let r = Registry::builtin();
         let pts = r.get("fig6_loss").unwrap().expand(Scale::Quick);
         let cfg = (pts[2].build)(0);
-        let legacy_trace = gnutella_sweep_trace(Scale::Quick, 2);
+        let legacy_trace = gnutella_sweep_trace_seeded(Scale::Quick, 2, 0);
         assert_eq!(cfg.trace, legacy_trace);
         assert_eq!(cfg.seed, 1002);
         assert_eq!(cfg.network_loss_rate, 0.02);

@@ -2,11 +2,19 @@
 //!
 //! [`Config::default`] is the paper's *base configuration*: `b = 4`, `l = 32`,
 //! `Tls = 30 s`, per-hop acks, routing-table probing self-tuned with a target
-//! raw loss rate `Lr = 5 %`, probe suppression, and symmetric distance
-//! probes.
+//! raw loss rate `Lr = 5 %`, and probe suppression. The values the paper
+//! never varies are constants beside the code that reads them:
+//! [`MAX_PROBE_RETRIES`] here, `FIXED_T_RT_US` and `FAILURE_HISTORY_LEN`
+//! for self-tuning, and `ACK_MAX_REROUTES` and [`crate::ROOT_RETX_ATTEMPTS`]
+//! for per-hop acks. Distance measurements always take the median of three probes,
+//! nearest-neighbour search one, and probes are symmetric (§4.2).
 
 /// One second in the microsecond clock used throughout.
 pub const SECOND_US: u64 = 1_000_000;
+
+/// Probe retries `r` before a silent node is marked faulty (§3.2; paper:
+/// 2). A node is declared dead `(r+1)·To` after its first unanswered probe.
+pub const MAX_PROBE_RETRIES: u32 = 2;
 
 /// MSPastry protocol parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,35 +27,22 @@ pub struct Config {
     pub t_ls_us: u64,
     /// Probe timeout `To`, microseconds (paper: 3 s, the TCP SYN timeout).
     pub t_o_us: u64,
-    /// Maximum probe retries before a node is marked faulty (paper: 2).
-    pub max_probe_retries: u32,
     /// Enable per-hop acknowledgements and rerouting (§3.2).
     pub per_hop_acks: bool,
     /// Enable active liveness probing of routing-table entries (§3.2).
     pub active_rt_probing: bool,
     /// Enable self-tuning of the routing-table probing period (§4.1). When
-    /// disabled, [`Config::fixed_t_rt_us`] is used.
+    /// disabled, the fixed 30 s period `tuning::FIXED_T_RT_US` is used.
     pub self_tuning: bool,
     /// Target raw loss rate `Lr` for self-tuning (paper: 0.05).
     pub target_raw_loss: f64,
-    /// Routing-table probing period when self-tuning is off, microseconds.
-    pub fixed_t_rt_us: u64,
     /// Period of the self-tuning recomputation, microseconds.
     pub self_tune_period_us: u64,
-    /// Length `K` of the failure history used to estimate the failure rate µ.
-    pub failure_history_len: usize,
     /// Suppress failure-detection messages when regular traffic already
     /// proves liveness (§4.1).
     pub probe_suppression: bool,
-    /// Share measured round-trip delays with the probed node so it can skip
-    /// its own measurement (§4.2).
-    pub symmetric_distance_probes: bool,
-    /// Number of distance probes per measurement (median is used; paper: 3).
-    pub distance_probe_count: u32,
     /// Spacing between distance probes of one measurement, microseconds.
     pub distance_probe_spacing_us: u64,
-    /// Use a single distance probe during the nearest-neighbour algorithm.
-    pub single_probe_nearest_neighbor: bool,
     /// Timeout of a nearest-neighbour distance probe, microseconds. Shorter
     /// than `To` and never retried: a dead candidate should cost little join
     /// latency.
@@ -62,15 +57,8 @@ pub struct Config {
     pub ack_rto_min_us: u64,
     /// Initial per-hop RTO before any sample for a peer, microseconds.
     pub ack_rto_initial_us: u64,
-    /// Maximum number of reroutes for one lookup at one hop before dropping.
-    pub ack_max_reroutes: u32,
-    /// Retransmissions to a silent *root* before giving up on it (final-hop
-    /// ack timeouts retry the same node first: there is no alternative node
-    /// that could correctly deliver). Each retry squares the probability
-    /// that an alive root is wrongly bypassed, at the cost of delay when the
-    /// root really is dead — every node holding the lookup pays the budget.
-    pub root_retx_attempts: u32,
-    /// After the retransmission budget, exclude the silent root from routing
+    /// After the root retransmission budget
+    /// ([`crate::ROOT_RETX_ATTEMPTS`]), exclude the silent root from routing
     /// and deliver at the now-closest node (the paper's default; improves
     /// latency at a tiny consistency cost under message loss). When `false`,
     /// keep retransmitting until the root's failure probe resolves — the
@@ -89,26 +77,18 @@ impl Default for Config {
             leaf_set_size: 32,
             t_ls_us: 30 * SECOND_US,
             t_o_us: 3 * SECOND_US,
-            max_probe_retries: 2,
             per_hop_acks: true,
             active_rt_probing: true,
             self_tuning: true,
             target_raw_loss: 0.05,
-            fixed_t_rt_us: 30 * SECOND_US,
             self_tune_period_us: 60 * SECOND_US,
-            failure_history_len: 16,
             probe_suppression: true,
-            symmetric_distance_probes: true,
-            distance_probe_count: 3,
             distance_probe_spacing_us: SECOND_US,
-            single_probe_nearest_neighbor: true,
             nn_probe_timeout_us: 1_500_000,
             nearest_neighbor_join: true,
             rt_maintenance_period_us: 20 * 60 * SECOND_US,
             ack_rto_min_us: 20_000,
             ack_rto_initial_us: 500_000,
-            ack_max_reroutes: 8,
-            root_retx_attempts: 1,
             exclude_root_on_ack_timeout: true,
             join_retry_us: 30 * SECOND_US,
             join_buffer_cap: 1024,
@@ -123,9 +103,9 @@ impl Config {
     }
 
     /// Lower bound on the routing-table probing period:
-    /// `(max_probe_retries + 1) * To`.
+    /// `(MAX_PROBE_RETRIES + 1) * To`.
     pub fn t_rt_floor_us(&self) -> u64 {
-        (self.max_probe_retries as u64 + 1) * self.t_o_us
+        (MAX_PROBE_RETRIES as u64 + 1) * self.t_o_us
     }
 
     /// Leaf-set failure-detection time `Tls + (r+1)·To` (§4.1): the longest
@@ -167,9 +147,6 @@ impl Config {
                 self.target_raw_loss
             ));
         }
-        if self.distance_probe_count == 0 {
-            return Err("distance probe count must be >= 1".into());
-        }
         Ok(())
     }
 }
@@ -185,7 +162,6 @@ mod tests {
         assert_eq!(c.leaf_set_size, 32);
         assert_eq!(c.t_ls_us, 30 * SECOND_US);
         assert_eq!(c.t_o_us, 3 * SECOND_US);
-        assert_eq!(c.max_probe_retries, 2);
         assert!(c.per_hop_acks && c.active_rt_probing && c.self_tuning);
         assert!((c.target_raw_loss - 0.05).abs() < 1e-12);
         assert!(c.validate().is_ok());

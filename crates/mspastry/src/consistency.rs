@@ -6,6 +6,7 @@
 //! propagated between routing states (peers confirm a gossiped failure with
 //! their own probe before believing it).
 
+use crate::config::MAX_PROBE_RETRIES;
 use crate::diag::ProbeCause;
 use crate::events::{Action, Effects, TimerKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -81,7 +82,7 @@ impl Node {
 
     pub(crate) fn on_join(&mut self, seed: Option<NodeId>, fx: &mut Effects) {
         self.consistency.join_seed = seed;
-        self.maintenance.tuner = SelfTuner::new(&self.ctx.cfg, self.ctx.now_us);
+        self.maintenance.tuner = SelfTuner::new(self.ctx.now_us);
         // Periodic timers, staggered to avoid fleet-wide synchronisation.
         let stagger = |rng: &mut SmallRng, period: u64| rng.gen_range(1..=period.max(1));
         let hb = stagger(&mut self.ctx.rng, self.ctx.cfg.t_ls_us);
@@ -547,7 +548,7 @@ impl Node {
         match self.consistency.probes.on_timeout(
             target,
             attempt,
-            self.ctx.cfg.max_probe_retries,
+            MAX_PROBE_RETRIES,
             self.ctx.now_us,
         ) {
             TimeoutVerdict::Stale => {}

@@ -196,8 +196,8 @@ mod tests {
 
     #[test]
     fn counters_are_per_run_not_per_process() {
-        let run_a = Obs::new(0.0, 16, false);
-        let run_b = Obs::new(0.0, 16, false);
+        let run_a = Obs::new(0.0, 16);
+        let run_b = Obs::new(0.0, 16);
         let a = NodeObs::new(run_a.clone());
         let b = NodeObs::new(run_b.clone());
         a.cause(ProbeCause::Repair);
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn a_send_bumps_its_kind_category_and_bytes() {
-        let run = Obs::new(0.0, 16, false);
+        let run = Obs::new(0.0, 16);
         let n = NodeObs::new(run.clone());
         let ack = Message::Ack {
             id: LookupId { src: Id(1), seq: 2 },
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn two_nodes_share_one_run_registry() {
-        let run = Obs::new(0.0, 16, false);
+        let run = Obs::new(0.0, 16);
         let a = NodeObs::new(run.clone());
         let b = NodeObs::new(run.clone());
         a.cause(ProbeCause::Announce);

@@ -78,3 +78,4 @@ pub use events::{Action, DropReason, Effects, Event, TimerKind};
 pub use id::{Id, Key, NodeId};
 pub use messages::{Category, LookupId, Message, Payload};
 pub use node::Node;
+pub use reliability::ROOT_RETX_ATTEMPTS;

@@ -6,7 +6,6 @@
 //! Probe suppression lives here too: regular traffic recorded in the
 //! per-peer `traffic` map postpones heartbeats and skips liveness probes.
 
-use crate::config::Config;
 use crate::diag::ProbeCause;
 use crate::events::{Effects, TimerKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -14,7 +13,7 @@ use crate::id::NodeId;
 use crate::messages::Message;
 use crate::node::Node;
 use crate::probes::ProbeKind;
-use crate::tuning::SelfTuner;
+use crate::tuning::{SelfTuner, FIXED_T_RT_US};
 use rand::Rng;
 
 /// When this node last heard from and last sent to one peer. [`NEVER`]
@@ -52,11 +51,11 @@ pub(crate) struct Maintenance {
 }
 
 impl Maintenance {
-    pub(crate) fn new(cfg: &Config) -> Self {
+    pub(crate) fn new() -> Self {
         Maintenance {
             traffic: FxHashMap::default(),
-            tuner: SelfTuner::new(cfg, 0),
-            t_rt_us: cfg.fixed_t_rt_us,
+            tuner: SelfTuner::new(0),
+            t_rt_us: FIXED_T_RT_US,
         }
     }
 
@@ -254,6 +253,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::events::Event;
     use crate::id::Id;
 

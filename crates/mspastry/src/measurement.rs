@@ -13,6 +13,10 @@ use crate::routing_table::DIST_UNKNOWN;
 
 pub(crate) const MAX_CONCURRENT_MEASUREMENTS: usize = 64;
 
+/// Probes per distance measurement, whose median is the distance (§4.2;
+/// paper: 3). The nearest-neighbour walk sends one per candidate.
+const DISTANCE_PROBE_COUNT: u32 = 3;
+
 /// Distance-probing state owned by the measurement layer.
 #[derive(Debug)]
 pub(crate) struct Measurement {
@@ -57,15 +61,8 @@ impl Node {
             return;
         }
         let (want, timeout, retry) = match purpose {
-            MeasurePurpose::NearestNeighbor => {
-                let want = if self.ctx.cfg.single_probe_nearest_neighbor {
-                    1
-                } else {
-                    self.ctx.cfg.distance_probe_count
-                };
-                (want, self.ctx.cfg.nn_probe_timeout_us, false)
-            }
-            _ => (self.ctx.cfg.distance_probe_count, self.ctx.cfg.t_o_us, true),
+            MeasurePurpose::NearestNeighbor => (1, self.ctx.cfg.nn_probe_timeout_us, false),
+            _ => (DISTANCE_PROBE_COUNT, self.ctx.cfg.t_o_us, true),
         };
         if let Some(nonce) = self.measurement.measurer.start_with_retry(
             target,
@@ -159,8 +156,8 @@ impl Node {
                 if matches!(outcome, Replaced(_)) {
                     self.ctx.obs.pns_replaced();
                 }
-                let accepted = matches!(outcome, InsertedEmpty | Replaced(_) | Refreshed);
-                if accepted && self.ctx.cfg.symmetric_distance_probes {
+                // Symmetric probing: the accepted peer reuses our value.
+                if matches!(outcome, InsertedEmpty | Replaced(_) | Refreshed) {
                     self.send(target, Message::DistanceReport { rtt_us: rtt }, fx);
                 }
             }

@@ -111,7 +111,7 @@ impl Node {
         cfg.validate().expect("invalid MSPastry configuration");
         let half = cfg.leaf_half();
         let b = cfg.b;
-        let maintenance = Maintenance::new(&cfg);
+        let maintenance = Maintenance::new();
         Node {
             rt: RoutingTable::new(id, b),
             ls: LeafSet::new(id, half),

@@ -1,10 +1,9 @@
 //! Proximity neighbour selection support: round-trip distance measurements
 //! and the nearest-neighbour seed-discovery state machine (§2, §4.2).
 //!
-//! A distance measurement sends `distance_probe_count` probes spaced by a
-//! fixed interval and takes the median of the returned round trips. The
-//! nearest-neighbour algorithm uses a *single* probe per candidate to reduce
-//! join latency; the remaining measurements use more samples.
+//! A distance measurement sends three probes spaced by a fixed interval and
+//! takes the median of the returned round trips. The nearest-neighbour
+//! algorithm uses a *single* probe per candidate to reduce join latency.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::id::NodeId;

@@ -7,7 +7,7 @@
 //! excludes the suspect and exploits a redundant route. Nodes are only
 //! *suspected* here — confirming a failure is the consistency layer's job.
 
-use crate::config::Config;
+use crate::config::{Config, MAX_PROBE_RETRIES};
 use crate::diag::ProbeCause;
 use crate::events::{Action, DropReason, Effects, TimerKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -24,6 +24,16 @@ use std::collections::VecDeque;
 /// of fresh lookup ids inside one horizon (say, from hostile UDP input)
 /// evicts the oldest instead of growing the window.
 pub(crate) const SEEN_CAP: usize = 16_384;
+
+/// Retransmissions to a silent *root* before giving up on it (final-hop
+/// ack timeouts retry the same node first: there is no alternative node
+/// that could correctly deliver). Each retry squares the probability that
+/// an alive root is wrongly bypassed, at the cost of delay when the root
+/// really is dead: every node holding the lookup pays the budget.
+pub const ROOT_RETX_ATTEMPTS: u32 = 1;
+
+/// Reroutes of one lookup at one hop before the hop drops it.
+pub(crate) const ACK_MAX_REROUTES: u32 = 8;
 
 /// The lookups a node has seen within the last `horizon_us` (the
 /// duplicate horizon `W`, [`crate::Config::duplicate_window_us`]): a copy
@@ -468,9 +478,9 @@ impl Node {
                 )
             };
             let budget = if self.ctx.cfg.exclude_root_on_ack_timeout && !reroute_self_delivers {
-                self.ctx.cfg.root_retx_attempts
+                ROOT_RETX_ATTEMPTS
             } else {
-                4 + 3 * (self.ctx.cfg.max_probe_retries + 1)
+                4 + 3 * (MAX_PROBE_RETRIES + 1)
             };
             // The extended budget only has to outlast the root's failure
             // verdict, due `(r+1)·To` after the first missed ack. A root
@@ -561,7 +571,7 @@ impl Node {
         // node and exploit a redundant route. Only genuine reroutes count
         // against the budget — same-root retransmissions above must not
         // starve a lookup of its redundant routes.
-        if p.reroutes + 1 > self.ctx.cfg.ack_max_reroutes {
+        if p.reroutes + 1 > ACK_MAX_REROUTES {
             let reason = DropReason::TooManyReroutes;
             let ev = self.ctx.hop_ev(
                 id,
@@ -682,7 +692,7 @@ mod tests {
 
     #[test]
     fn stray_ack_is_counted_not_fatal() {
-        let run = obs::Obs::new(0.0, 16, false);
+        let run = obs::Obs::new(0.0, 16);
         let mut n = crate::node::Node::with_obs(
             Id(1),
             Config {

@@ -12,7 +12,7 @@
 //! row only, and a row's slots are allocated when the first of them is
 //! filled.
 
-use crate::id::{Id, NodeId};
+use crate::id::NodeId;
 
 /// Distance value meaning "not measured yet" (treated as infinitely far, so
 /// any measured candidate wins the slot).
@@ -69,11 +69,6 @@ impl RoutingTable {
     /// The local node's identifier.
     pub fn own(&self) -> NodeId {
         self.own
-    }
-
-    /// Number of rows (`ceil(128/b)`, whether allocated or not).
-    pub fn row_count(&self) -> usize {
-        Id::rows(self.b)
     }
 
     /// Number of columns (2^b).
@@ -222,6 +217,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::Id;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -426,7 +422,6 @@ mod tests {
                 prop_assert_eq!(rt.entries().collect::<Vec<_>>(), expected.clone());
                 prop_assert_eq!(rt.len(), expected.len());
                 prop_assert_eq!(rt.is_empty(), expected.is_empty());
-                prop_assert_eq!(rt.row_count(), Id::rows(b));
                 let occupied: Vec<usize> = (0..dense.rows.len())
                     .filter(|&r| dense.rows[r].iter().any(Option::is_some))
                     .collect();

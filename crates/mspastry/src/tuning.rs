@@ -15,11 +15,18 @@
 //! local estimates of `N` (leaf-set density) and `µ` (failure history), and
 //! adopting the median of the estimates piggybacked by other nodes.
 
-use crate::config::Config;
+use crate::config::{Config, MAX_PROBE_RETRIES, SECOND_US};
 use crate::fxhash::FxHashMap;
 use crate::id::NodeId;
 use crate::leaf_set::LeafSet;
 use std::collections::VecDeque;
+
+/// Routing-table probing period while self-tuning is off, and a node's own
+/// estimate until its first recomputation, microseconds.
+pub(crate) const FIXED_T_RT_US: u64 = 30 * SECOND_US;
+
+/// Length `K` of the failure history that estimates the failure rate µ.
+pub(crate) const FAILURE_HISTORY_LEN: usize = 16;
 
 /// Probability of forwarding to a faulty node at one hop, given maximum
 /// detection time `t_us` and failure rate `mu` (failures per node per
@@ -51,7 +58,7 @@ pub fn raw_loss(cfg: &Config, t_rt_us: f64, mu: f64, n: f64) -> f64 {
     if h < 1.0 {
         return 0.0;
     }
-    let retr = (cfg.max_probe_retries + 1) as f64 * cfg.t_o_us as f64;
+    let retr = (MAX_PROBE_RETRIES + 1) as f64 * cfg.t_o_us as f64;
     let p_ls = pf(cfg.t_ls_us as f64 + retr, mu);
     let p_rt = pf(t_rt_us + retr, mu);
     1.0 - (1.0 - p_ls) * (1.0 - p_rt).powf(h - 1.0)
@@ -70,7 +77,7 @@ pub fn solve_t_rt(cfg: &Config, mu: f64, n: f64) -> u64 {
         return T_RT_MAX_US;
     }
     let h = expected_hops(n, cfg.b);
-    let retr = (cfg.max_probe_retries + 1) as f64 * cfg.t_o_us as f64;
+    let retr = (MAX_PROBE_RETRIES + 1) as f64 * cfg.t_o_us as f64;
     let p_ls = pf(cfg.t_ls_us as f64 + retr, mu);
     if h <= 1.0 {
         // Routes are a single (leaf-set) hop; routing-table probing does not
@@ -203,11 +210,11 @@ pub struct SelfTuner {
 
 impl SelfTuner {
     /// Creates the tuner at join time.
-    pub fn new(cfg: &Config, joined_at_us: u64) -> Self {
+    pub fn new(joined_at_us: u64) -> Self {
         SelfTuner {
-            history: FailureHistory::new(cfg.failure_history_len, joined_at_us),
+            history: FailureHistory::new(FAILURE_HISTORY_LEN, joined_at_us),
             hints: FxHashMap::default(),
-            local_t_rt_us: cfg.fixed_t_rt_us,
+            local_t_rt_us: FIXED_T_RT_US,
         }
     }
 
@@ -264,7 +271,6 @@ impl SelfTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SECOND_US;
     use crate::id::Id;
 
     #[test]
@@ -321,7 +327,7 @@ mod tests {
                 return T_RT_MAX_US;
             }
             let h = expected_hops(n, cfg.b);
-            let retr = (cfg.max_probe_retries + 1) as f64 * cfg.t_o_us as f64;
+            let retr = (MAX_PROBE_RETRIES + 1) as f64 * cfg.t_o_us as f64;
             let p_ls = pf(cfg.t_ls_us as f64 + retr, mu);
             if h <= 1.0 {
                 return T_RT_MAX_US;
@@ -443,8 +449,7 @@ mod tests {
 
     #[test]
     fn tuner_adopts_median_of_hints() {
-        let cfg = Config::default();
-        let mut t = SelfTuner::new(&cfg, 0);
+        let mut t = SelfTuner::new(0);
         t.local_t_rt_us = 50;
         let peers: Vec<Id> = (1..=4u128).map(Id).collect();
         t.note_hint(peers[0], 10);
@@ -460,8 +465,7 @@ mod tests {
 
     #[test]
     fn tuner_forget_removes_hints() {
-        let cfg = Config::default();
-        let mut t = SelfTuner::new(&cfg, 0);
+        let mut t = SelfTuner::new(0);
         t.note_hint(Id(1), 10);
         t.forget(Id(1));
         assert_eq!(t.adopted(&[Id(1)]), t.local_t_rt_us());

@@ -6,7 +6,11 @@
 //! change freely without touching them. Timer-free message pumping only —
 //! the full asynchronous behaviour is exercised by the simulator tests.
 
-use mspastry::{Action, Config, Effects, Event, Id, LookupId, Message, Node, NodeId, TimerKind};
+use mspastry::config::MAX_PROBE_RETRIES;
+use mspastry::{
+    Action, Config, Effects, Event, Id, LookupId, Message, Node, NodeId, TimerKind,
+    ROOT_RETX_ATTEMPTS,
+};
 use obs::Obs;
 
 fn cfg() -> Config {
@@ -188,9 +192,8 @@ fn probe_timeout_marks_faulty_and_repairs() {
         probed,
         "silence triggers a suspicion probe of the right neighbour"
     );
-    let retries = nodes[0].config().max_probe_retries;
     let mut now = 10_003_000_000;
-    for attempt in 0..=retries {
+    for attempt in 0..=MAX_PROBE_RETRIES {
         step(
             &mut nodes[0],
             now,
@@ -227,10 +230,9 @@ fn ack_timeout_reroutes_after_retx_budget() {
         }
     }
     let id = lookup_id.expect("lookup forwarded to b");
-    let retx_budget = nodes[0].config().root_retx_attempts;
     // b is the key's root, so the first timeouts retransmit to b itself.
     let mut now = 1_000_000;
-    for attempt in 0..retx_budget {
+    for attempt in 0..ROOT_RETX_ATTEMPTS {
         let retx = step(
             &mut nodes[0],
             now,
@@ -262,7 +264,7 @@ fn ack_timeout_reroutes_after_retx_budget() {
         now,
         Event::Timer(TimerKind::AckTimeout {
             lookup: id,
-            attempt: retx_budget,
+            attempt: ROOT_RETX_ATTEMPTS,
         }),
     );
     let to_root = actions
@@ -290,7 +292,7 @@ fn root_retransmissions_stop_at_the_leaf_set_detection_time() {
     // verdict. Here the root's probe never resolves (it "answers probes"
     // while every ack is lost), so only the chain's time limit ends it,
     // long before the 13-attempt budget runs out.
-    let run = Obs::new(0.0, 16, false);
+    let run = Obs::new(0.0, 16);
     let (mut nodes, ids) = trio_obs(
         Config {
             exclude_root_on_ack_timeout: false,
@@ -617,7 +619,7 @@ fn duplicate_lookups_are_acked_but_not_reprocessed() {
 fn join_buffer_overflow_reports_drops() {
     let mut cfg2 = cfg();
     cfg2.join_buffer_cap = 2;
-    let run = Obs::new(0.0, 16, false);
+    let run = Obs::new(0.0, 16);
     let mut n = Node::with_obs(Id(5), cfg2, run.clone());
     // Not joined yet: local lookups buffer; the third overflows.
     for i in 0..3 {

@@ -10,6 +10,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::{RouterId, Topology};
 
+/// Relative delay jitter: a delivered message takes its base delay ±5 %.
+const JITTER_FRAC: f64 = 0.05;
+
 /// Index of an end host within a [`Network`].
 pub type EndpointId = usize;
 
@@ -19,7 +22,6 @@ pub struct Network {
     topo: Topology,
     attach: Vec<RouterId>,
     loss_rate: f64,
-    jitter_frac: f64,
     blackout: bool,
     rng: SmallRng,
     obs: Obs,
@@ -29,14 +31,13 @@ pub struct Network {
 }
 
 impl Network {
-    /// Wraps a topology with no end hosts, no loss and 5 % delay jitter.
+    /// Wraps a topology with no end hosts and no loss.
     pub fn new(topo: Topology, seed: u64) -> Self {
         let obs = Obs::disabled();
         Network {
             topo,
             attach: Vec::new(),
             loss_rate: 0.0,
-            jitter_frac: 0.05,
             blackout: false,
             rng: SmallRng::seed_from_u64(seed),
             c_delivered: obs.counter("net.delivered"),
@@ -69,12 +70,6 @@ impl Network {
         self.loss_rate
     }
 
-    /// Sets the relative delay jitter (0.05 = ±5 %).
-    pub fn set_jitter(&mut self, frac: f64) {
-        assert!((0.0..1.0).contains(&frac), "jitter must be in [0, 1)");
-        self.jitter_frac = frac;
-    }
-
     /// Starts or ends a total outage: while set, every message is lost.
     /// Models transient network-wide failures (a core-router blackout).
     pub fn set_blackout(&mut self, on: bool) {
@@ -99,17 +94,6 @@ impl Network {
         self.attach.len() - 1
     }
 
-    /// Attaches a new end host at a specific router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `router` is out of range for the topology.
-    pub fn add_endpoint_at(&mut self, router: RouterId) -> EndpointId {
-        assert!((router as usize) < self.topo.router_count());
-        self.attach.push(router);
-        self.attach.len() - 1
-    }
-
     /// Number of attached end hosts.
     pub fn endpoint_count(&self) -> usize {
         self.attach.len()
@@ -130,7 +114,7 @@ impl Network {
     }
 
     /// Samples the delivery of one message: `None` if the message is lost,
-    /// otherwise the jittered one-way delay.
+    /// otherwise the one-way delay with ±5 % jitter.
     pub fn sample_delivery(&mut self, a: EndpointId, b: EndpointId) -> Option<u64> {
         if self.blackout {
             self.obs.inc(self.c_lost_blackout);
@@ -142,10 +126,7 @@ impl Network {
         }
         self.obs.inc(self.c_delivered);
         let base = self.base_delay_us(a, b);
-        if self.jitter_frac == 0.0 {
-            return Some(base);
-        }
-        let jitter = (base as f64 * self.jitter_frac) as u64;
+        let jitter = (base as f64 * JITTER_FRAC) as u64;
         let d = if jitter == 0 {
             base
         } else {
@@ -210,7 +191,6 @@ mod tests {
     #[test]
     fn jitter_stays_within_bounds() {
         let mut n = net();
-        n.set_jitter(0.05);
         let a = n.add_endpoint();
         let b = n.add_endpoint();
         let base = n.base_delay_us(a, b);
@@ -229,7 +209,7 @@ mod tests {
     #[test]
     fn delivery_counters_reach_the_run_registry() {
         let mut n = net();
-        let run = Obs::new(0.0, 16, false);
+        let run = Obs::new(0.0, 16);
         n.set_obs(run.clone());
         let a = n.add_endpoint();
         let b = n.add_endpoint();

@@ -212,26 +212,6 @@ impl<T> EventQueue<T> {
             self.base_slot += 1;
         }
     }
-
-    /// The firing time of the next event without popping it.
-    ///
-    /// Worst case this scans the wheel (it cannot advance state through
-    /// `&self`); it is a convenience for tests and diagnostics, not part of
-    /// the simulator hot path.
-    pub fn peek_time_us(&self) -> Option<u64> {
-        if let Some(e) = self.cur.last() {
-            return Some(e.at_us);
-        }
-        if self.wheel_len > 0 {
-            for i in 0..WHEEL_SLOTS as u64 {
-                let bucket = &self.wheel[((self.base_slot + i) & WHEEL_MASK) as usize];
-                if let Some(at) = bucket.iter().map(|e| e.at_us).min() {
-                    return Some(at);
-                }
-            }
-        }
-        self.overflow.peek().map(|e| e.at_us)
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +246,7 @@ mod tests {
         q.pop();
         assert_eq!(q.now_us(), 100);
         q.schedule_in(50, ());
-        assert_eq!(q.peek_time_us(), Some(150));
+        assert_eq!(q.pop().map(|e| e.at_us), Some(150));
     }
 
     #[test]

@@ -48,8 +48,6 @@ struct Core {
     /// Copy of the recorder's sampling threshold, readable without a
     /// `RefCell` borrow: the sampled-check runs on every forwarded lookup.
     threshold: u64,
-    /// Echo every drop event to stderr (the `MSPASTRY_DEBUG_DROPS` path).
-    echo_drops: bool,
 }
 
 /// A cheap, cloneable handle to one run's observability state.
@@ -69,8 +67,8 @@ impl Obs {
 
     /// Creates a live handle: a fresh registry plus a flight recorder
     /// sampling `trace_sample_rate` of lookups into a ring of
-    /// `trace_capacity` events. `echo_drops` mirrors drop events to stderr.
-    pub fn new(trace_sample_rate: f64, trace_capacity: usize, echo_drops: bool) -> Self {
+    /// `trace_capacity` events.
+    pub fn new(trace_sample_rate: f64, trace_capacity: usize) -> Self {
         let recorder = FlightRecorder::new(trace_sample_rate, trace_capacity);
         let threshold = recorder.threshold();
         Obs {
@@ -78,14 +76,8 @@ impl Obs {
                 registry: Registry::new(),
                 recorder: RefCell::new(recorder),
                 threshold,
-                echo_drops,
             })),
         }
-    }
-
-    /// `true` unless this is a disabled handle.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Registers (or re-finds) a counter. Returns a dummy id when disabled.
@@ -147,19 +139,13 @@ impl Obs {
         }
     }
 
-    /// Records a lookup drop: bumps the per-reason counter, mirrors to
-    /// stderr when drop echoing is on, and traces the event if sampled.
+    /// Records a lookup drop: bumps the per-reason counter and traces the
+    /// event if sampled.
     pub fn drop_event(&self, reason_counter: CounterId, ev: HopEvent) {
         let Some(c) = &self.inner else {
             return;
         };
         c.registry.inc(reason_counter);
-        if c.echo_drops {
-            eprintln!(
-                "drop at t={} reason={} lookup={:x}#{} node={:x}",
-                ev.at_us, ev.note, ev.src, ev.seq, ev.node
-            );
-        }
         if c.recorder.borrow().sampled(ev.src, ev.seq) {
             c.recorder.borrow_mut().push(ev);
         }
@@ -279,7 +265,6 @@ mod tests {
         o.add(c, 5);
         o.record(h, 42);
         assert!(!o.sampled(1, 2));
-        assert!(!o.is_enabled());
         let s = o.snapshot();
         assert!(s.counters.is_empty() && s.histograms.is_empty());
         assert_eq!(o.take_trace().0.len(), 0);
@@ -287,7 +272,7 @@ mod tests {
 
     #[test]
     fn enabled_handle_collects_and_snapshots() {
-        let o = Obs::new(1.0, 16, false);
+        let o = Obs::new(1.0, 16);
         let c = o.counter("sends");
         o.inc(c);
         o.inc(c);
@@ -315,8 +300,34 @@ mod tests {
     }
 
     #[test]
+    fn drop_event_counts_every_drop_and_traces_sampled_ones() {
+        let o = Obs::new(0.5, 16);
+        let reason = o.counter("drop.no-route");
+        let hit = (0..).find(|&seq| o.sampled(1, seq)).unwrap();
+        let miss = (0..).find(|&seq| !o.sampled(1, seq)).unwrap();
+        let drop = |seq| HopEvent {
+            at_us: 7,
+            node: 2,
+            src: 1,
+            seq,
+            kind: HopKind::Drop,
+            peer: NO_PEER,
+            hops: 1,
+            attempt: 0,
+            detail_us: 0,
+            note: "no-route",
+        };
+        o.drop_event(reason, drop(hit));
+        o.drop_event(reason, drop(miss));
+        assert_eq!(o.snapshot().counter("drop.no-route"), 2);
+        let (trace, lost) = o.take_trace();
+        assert_eq!((trace.len(), lost), (1, 0));
+        assert_eq!((trace[0].kind, trace[0].seq), (HopKind::Drop, hit));
+    }
+
+    #[test]
     fn clones_share_state() {
-        let a = Obs::new(0.0, 16, false);
+        let a = Obs::new(0.0, 16);
         let b = a.clone();
         let c = a.counter("n");
         b.inc(b.counter("n"));
@@ -347,7 +358,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_shape() {
-        let o = Obs::new(0.0, 1, false);
+        let o = Obs::new(0.0, 1);
         o.inc(o.counter("a"));
         o.record(o.histogram("h"), 3);
         let mut w = JsonWriter::new();

@@ -86,15 +86,6 @@ impl Registry {
         self.inner.borrow_mut().hists[id.0 as usize].record(v);
     }
 
-    /// Current value of a counter by name (0 if never registered).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        let g = self.inner.borrow();
-        g.counter_index
-            .get(name)
-            .map(|&i| g.counters[i as usize])
-            .unwrap_or(0)
-    }
-
     /// Freezes all metrics into a name-sorted snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let g = self.inner.borrow();
@@ -218,8 +209,7 @@ mod tests {
         assert_eq!(a, b);
         r.inc(a);
         r.add(b, 2);
-        assert_eq!(r.counter_value("x"), 3);
-        assert_eq!(r.counter_value("missing"), 0);
+        assert_eq!(r.snapshot().counter("x"), 3);
     }
 
     #[test]
@@ -272,6 +262,6 @@ mod tests {
         let a = Registry::new();
         let b = Registry::new();
         a.inc(a.counter("c"));
-        assert_eq!(b.counter_value("c"), 0);
+        assert_eq!(b.snapshot().counter("c"), 0);
     }
 }

@@ -11,7 +11,8 @@
 //! hands it, so enabling it cannot perturb a simulation (pinned by
 //! `crates/harness/tests/determinism.rs`). Who drives the cadence is the
 //! host's business: the simulator samples before its first event at or after
-//! each virtual-time sample point, the UDP deployment on wall-clock ticks.
+//! each virtual-time sample point. The UDP binding keeps no series; it
+//! serves its registry as a whole.
 //!
 //! The series is bounded: past `max_windows` the *oldest* windows are
 //! dropped (and counted) — mirroring the flight recorder, a post-mortem

@@ -163,7 +163,7 @@ impl UdpNode {
                 // node's own thread; only published `Snapshot` clones cross
                 // to the exporter.
                 let obs = if telemetry_on {
-                    obs::Obs::new(0.0, 1, false)
+                    obs::Obs::new(0.0, 1)
                 } else {
                     obs::Obs::disabled()
                 };

@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn exposition_renders_counters_and_summaries() {
-        let o = Obs::new(0.0, 1, false);
+        let o = Obs::new(0.0, 1);
         o.add(o.counter("udp.datagrams_rx"), 7);
         let h = o.histogram("lookup.latency_us");
         for v in [100, 200, 300] {
