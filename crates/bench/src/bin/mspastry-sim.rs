@@ -35,9 +35,8 @@
 //!   --trace RATE        hop-trace sampling rate in [0, 1]         [0]
 //!   --trace-out PATH    hop-trace JSONL path  [<json path>.trace.jsonl]
 //!   --trace-capacity N  hop-trace ring capacity, events           [65536]
-//!   --timeseries PATH   write per-interval metric deltas (mspastry-ts/1
-//!                       JSONL) to PATH
-//!   --ts-interval SECS  time-series sampling interval, seconds    [60]
+//!   --timeseries PATH   write per-window metric deltas (mspastry-ts/1
+//!                       JSONL: the warm-up, then each metrics window)
 //!   --profile           self-profile the run loop (per-event-kind counts
 //!                       and wall time; adds "prof" to the JSON artifact)
 //! ```
@@ -189,20 +188,10 @@ fn main() {
             .flatten()
     });
     let ts_path = get("--timeseries");
-    if ts_path.is_some() {
-        let secs = parse_or("--ts-interval", 60.0);
-        if secs <= 0.0 {
-            die(&format!(
-                "bad value for --ts-interval: {secs} (seconds, > 0)"
-            ));
-        }
-        cfg.ts_interval_us = (secs * 1e6) as u64;
-    } else if flag("--ts-interval") {
-        die("--ts-interval only applies with --timeseries PATH");
-    }
     cfg.profile = flag("--profile");
 
     let trace_capacity = cfg.trace_capacity;
+    let window_us = cfg.metrics_window_us;
     eprintln!(
         "simulating {} on {:?} for {hours} h (seed {seed}) ...",
         cfg.trace.name(),
@@ -284,15 +273,10 @@ fn main() {
         );
     }
     if let Some(path) = &ts_path {
-        let ts = res
-            .timeseries
-            .as_ref()
-            .expect("--timeseries sets ts_interval_us > 0");
-        match std::fs::write(path, obs::ts_jsonl(ts)) {
+        match std::fs::write(path, obs::ts_jsonl(window_us, &res.timeseries)) {
             Ok(()) => eprintln!(
-                "wrote {} time-series windows to {path} ({} dropped)",
-                ts.len(),
-                ts.dropped()
+                "wrote {} time-series windows to {path}",
+                res.timeseries.len()
             ),
             Err(e) => die(&format!("cannot write {path}: {e}")),
         }

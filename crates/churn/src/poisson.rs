@@ -36,16 +36,6 @@ impl Default for PoissonParams {
 impl PoissonParams {
     /// The paper's sweep of mean session times, in minutes.
     pub const SESSION_MINUTES: [u64; 6] = [5, 15, 30, 60, 120, 600];
-
-    /// Quick preset: 300 nodes, 1 simulated hour.
-    pub fn quick(minutes: u64) -> Self {
-        PoissonParams {
-            mean_nodes: 300.0,
-            mean_session_us: minutes as f64 * 60e6,
-            duration_us: 3600 * 1_000_000,
-            seed: 404,
-        }
-    }
 }
 
 /// Generates a Poisson-churn trace.
@@ -101,8 +91,15 @@ mod tests {
 
     #[test]
     fn shorter_sessions_mean_more_failures() {
-        let short = trace(&PoissonParams::quick(5));
-        let long = trace(&PoissonParams::quick(120));
+        // 300 nodes for one simulated hour.
+        let hour = |minutes: u64| PoissonParams {
+            mean_nodes: 300.0,
+            mean_session_us: minutes as f64 * 60e6,
+            duration_us: 3600 * 1_000_000,
+            seed: 404,
+        };
+        let short = trace(&hour(5));
+        let long = trace(&hour(120));
         let fails = |t: &Trace| {
             t.sessions()
                 .iter()

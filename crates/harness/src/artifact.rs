@@ -81,11 +81,10 @@ pub fn report_json(w: &mut JsonWriter, r: &Report) {
 /// end-of-run overlay state), `report` ([`report_json`]), `diag` (the
 /// registry snapshot: counters and histograms) and `trace` (hop-trace
 /// summary — the events themselves are a separate JSONL artifact, see
-/// [`obs::trace_jsonl`]). When the corresponding collectors ran, two more
-/// members follow: `timeseries` (sampling summary — the series itself is a
-/// separate `mspastry-ts/1` JSONL artifact, see [`obs::ts_jsonl`]) and
-/// `prof` (the run-loop self-profile; wall-clock based, so excluded from
-/// the bit-identical artifact guarantee).
+/// [`obs::trace_jsonl`]). When the profiler ran, `prof` follows (the
+/// run-loop self-profile; wall-clock based, so excluded from the
+/// bit-identical artifact guarantee). The time series is a separate
+/// `mspastry-ts/1` JSONL artifact, see [`obs::ts_jsonl`].
 pub fn run_json(res: &RunResult) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -109,17 +108,9 @@ pub fn run_json(res: &RunResult) -> String {
     w.field_u64("events", res.trace_events.len() as u64)
         .field_u64("overwritten", res.trace_overwritten);
     w.end_object();
-    // Telemetry members are emitted only when their collector ran, so the
-    // document (and the golden artifact test) is unchanged with telemetry
-    // off, and stripping these members recovers the deterministic core.
-    if let Some(ts) = &res.timeseries {
-        w.key("timeseries").begin_object();
-        w.field_str("schema", obs::TS_SCHEMA)
-            .field_u64("interval_us", ts.interval_us())
-            .field_u64("windows", ts.len() as u64)
-            .field_u64("dropped", ts.dropped());
-        w.end_object();
-    }
+    // The profile is emitted only when the profiler ran, so the document
+    // is unchanged with it off, and stripping it recovers the deterministic
+    // core.
     if let Some(p) = &res.prof {
         w.key("prof");
         obs::prof_json(&mut w, p);

@@ -7,10 +7,14 @@
 //! per node, everything except first-transmission lookups), optionally broken
 //! down by message type as in Figure 4.
 //!
-//! Traffic is counted once, in the run's [`obs`] registry (`sent.*` per
-//! send, [`ACTIVE_NODE_US`] for node-time); [`Metrics::finalize`] derives
-//! the traffic figures from registry snapshots taken at the window
-//! boundaries. [`Metrics`] itself keeps the lookup-outcome ledger.
+//! Traffic and lookup outcomes are counted once, in the run's [`obs`]
+//! registry: `sent.*` per send, [`ACTIVE_NODE_US`] for node-time, and the
+//! `lookup.*` outcome metrics for the first delivery of each tracked
+//! lookup. [`Metrics::finalize`] derives the report's figures from
+//! registry snapshots taken at the window boundaries. [`Metrics`] itself
+//! keeps the lookup ledger (issued, delivered, lost, incorrect,
+//! duplicates), which needs the oracle's verdict and the lookup
+//! identities.
 
 use crate::fxhash::FxHashMap;
 use mspastry::diag::DROP_REASON_COUNTERS;
@@ -18,7 +22,7 @@ use mspastry::messages::{
     KIND_NAMES, SENT_BYTES_COUNTER, SENT_CATEGORY_COUNTERS, SENT_KIND_COUNTERS,
 };
 use mspastry::{Category, LookupId};
-use obs::Snapshot;
+use obs::{CounterId, HistId, Obs, Snapshot};
 use std::collections::VecDeque;
 
 pub use mspastry::messages::{CATEGORY_NAMES, N_CATEGORIES};
@@ -33,22 +37,99 @@ pub fn category_index(c: Category) -> usize {
 /// simulated time, in node-microseconds.
 pub const ACTIVE_NODE_US: &str = "overlay.active_node_us";
 
-/// Traffic between two registry snapshots.
-#[derive(Debug, Default)]
-struct Traffic {
+/// Registry histogram of lookup latency (issue to first delivery), µs.
+const LOOKUP_LATENCY_US: &str = "lookup.latency_us";
+/// Registry histogram of overlay hops per delivered lookup.
+const LOOKUP_HOPS: &str = "lookup.hops";
+/// Registry histogram of RDP × 1000, rounded ([`rdp_milli`]).
+const LOOKUP_RDP_MILLI: &str = "lookup.rdp_milli";
+/// Registry counter of RDP-sampled deliveries slower than one second.
+const LOOKUP_SLOW: &str = "lookup.slow";
+
+/// RDP × 1000 of a lookup delivered `delay_us` after issue between nodes
+/// `direct_us` apart, rounded to the nearest integer.
+fn rdp_milli(delay_us: u64, direct_us: u64) -> u64 {
+    (delay_us * 1000 + direct_us / 2) / direct_us
+}
+
+/// `(sum, count)` of a registry histogram (zeros when absent).
+fn sum_count(s: &Snapshot, name: &str) -> (u64, u64) {
+    s.histogram(name).map_or((0, 0), |h| (h.sum, h.count))
+}
+
+/// Mean of samples recorded in thousandths.
+fn milli_mean(sum: u64, count: u64) -> f64 {
+    if count > 0 {
+        sum as f64 / count as f64 / 1000.0
+    } else {
+        0.0
+    }
+}
+
+/// The registry handles of the lookup-outcome metrics.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Outcomes {
+    latency: HistId,
+    hops: HistId,
+    rdp_milli: HistId,
+    slow: CounterId,
+}
+
+impl Outcomes {
+    pub(crate) fn register(obs: &Obs) -> Self {
+        Outcomes {
+            latency: obs.histogram(LOOKUP_LATENCY_US),
+            hops: obs.histogram(LOOKUP_HOPS),
+            rdp_milli: obs.histogram(LOOKUP_RDP_MILLI),
+            slow: obs.counter(LOOKUP_SLOW),
+        }
+    }
+
+    /// Records the first delivery of a tracked lookup (the only delivery
+    /// that counts, see [`Metrics::on_delivered`]). `direct_delay_us == 0`
+    /// (self-delivery) skips the RDP sample.
+    pub(crate) fn record(
+        &self,
+        obs: &Obs,
+        now_us: u64,
+        issued_at_us: u64,
+        hops: u32,
+        direct_delay_us: u64,
+    ) {
+        let delay = now_us.saturating_sub(issued_at_us);
+        obs.record(self.latency, delay);
+        obs.record(self.hops, hops as u64);
+        if direct_delay_us > 0 && delay > 0 {
+            if delay > 1_000_000 {
+                obs.inc(self.slow);
+            }
+            obs.record(self.rdp_milli, rdp_milli(delay, direct_delay_us));
+        }
+    }
+}
+
+/// Registry deltas between two snapshots: one window's figures.
+#[derive(Debug)]
+struct Delta {
     /// Messages sent per category, [`CATEGORY_NAMES`] order.
     counts: [u64; N_CATEGORIES],
     bytes: u64,
     node_us: u64,
+    rdp_milli_sum: u64,
+    rdp_count: u64,
 }
 
-impl Traffic {
+impl Delta {
     fn between(from: &Snapshot, to: &Snapshot) -> Self {
         let delta = |name: &str| to.counter(name) - from.counter(name);
-        Traffic {
+        let (from_sum, from_count) = sum_count(from, LOOKUP_RDP_MILLI);
+        let (to_sum, to_count) = sum_count(to, LOOKUP_RDP_MILLI);
+        Delta {
             counts: SENT_CATEGORY_COUNTERS.map(delta),
             bytes: delta(SENT_BYTES_COUNTER),
             node_us: delta(ACTIVE_NODE_US),
+            rdp_milli_sum: to_sum.wrapping_sub(from_sum),
+            rdp_count: to_count - from_count,
         }
     }
 
@@ -66,13 +147,6 @@ fn per_node_second(count: u64, node_seconds: f64) -> f64 {
     }
 }
 
-/// Per-window RDP accumulator.
-#[derive(Debug, Clone, Default)]
-struct Window {
-    rdp_sum: f64,
-    rdp_count: u64,
-}
-
 /// A lookup in the ledger: pending until its first delivery, then kept for
 /// the duplicate window (`lookup_timeout_us`) so later copies count as
 /// duplicates.
@@ -83,14 +157,13 @@ struct LedgerEntry {
     delivered: bool,
 }
 
-/// The lookup-outcome ledger of one run: issued, delivered, lost, incorrect
-/// and duplicate lookups, hops, RDP and join latencies.
+/// The lookup ledger of one run: issued, delivered, lost, incorrect and
+/// duplicate lookups, plus join latencies.
 #[derive(Debug)]
 pub struct Metrics {
     measure_start_us: u64,
     window_us: u64,
     lookup_timeout_us: u64,
-    windows: Vec<Window>,
     ledger: FxHashMap<LookupId, LedgerEntry>,
     /// Delivered ledger entries in delivery order, each with the time after
     /// which it is evicted.
@@ -99,11 +172,7 @@ pub struct Metrics {
     delivered: u64,
     incorrect: u64,
     duplicates: u64,
-    hops_sum: u64,
-    rdp_sum: f64,
-    rdp_count: u64,
     join_latencies_us: Vec<u64>,
-    slow_deliveries: u64,
 }
 
 impl Metrics {
@@ -115,30 +184,14 @@ impl Metrics {
             measure_start_us,
             window_us,
             lookup_timeout_us,
-            windows: Vec::new(),
             ledger: FxHashMap::default(),
             expiry: VecDeque::new(),
             issued: 0,
             delivered: 0,
             incorrect: 0,
             duplicates: 0,
-            hops_sum: 0,
-            rdp_sum: 0.0,
-            rdp_count: 0,
             join_latencies_us: Vec::new(),
-            slow_deliveries: 0,
         }
-    }
-
-    fn window_mut(&mut self, now_us: u64) -> Option<&mut Window> {
-        if now_us < self.measure_start_us {
-            return None;
-        }
-        let idx = ((now_us - self.measure_start_us) / self.window_us) as usize;
-        if self.windows.len() <= idx {
-            self.windows.resize(idx + 1, Window::default());
-        }
-        Some(&mut self.windows[idx])
     }
 
     /// Records the first sighting of a lookup (issue or first transmission).
@@ -171,50 +224,35 @@ impl Metrics {
         }
     }
 
-    /// Records a delivery. `direct_delay_us == 0` (self-delivery) skips the
-    /// RDP sample. A copy delivered within `lookup_timeout_us` of the first
-    /// delivery counts as a duplicate.
+    /// Records a delivery. A copy delivered within `lookup_timeout_us` of
+    /// the first delivery counts as a duplicate. Returns `true` for the
+    /// first delivery of a tracked lookup: the one delivery whose hops,
+    /// latency and RDP the `lookup.*` outcome metrics record.
     pub fn on_delivered(
         &mut self,
         now_us: u64,
         id: LookupId,
         issued_at_us: u64,
         correct: bool,
-        hops: u32,
-        direct_delay_us: u64,
-    ) {
+    ) -> bool {
         self.evict_delivered(now_us);
         self.sight_lookup(id, issued_at_us);
         let entry = self.ledger.get_mut(&id).expect("sighted above");
         if entry.delivered {
             self.duplicates += 1;
-            return;
+            return false;
         }
         entry.delivered = true;
-        let p = *entry;
+        let tracked = entry.tracked;
         self.expiry
             .push_back((now_us.saturating_add(self.lookup_timeout_us), id));
-        if !p.tracked {
-            return;
-        }
-        self.delivered += 1;
-        self.hops_sum += hops as u64;
-        if !correct {
-            self.incorrect += 1;
-        }
-        if direct_delay_us > 0 && now_us > p.issued_at_us {
-            let delay = now_us - p.issued_at_us;
-            if delay > 1_000_000 {
-                self.slow_deliveries += 1;
-            }
-            let rdp = (now_us - p.issued_at_us) as f64 / direct_delay_us as f64;
-            self.rdp_sum += rdp;
-            self.rdp_count += 1;
-            if let Some(w) = self.window_mut(now_us) {
-                w.rdp_sum += rdp;
-                w.rdp_count += 1;
+        if tracked {
+            self.delivered += 1;
+            if !correct {
+                self.incorrect += 1;
             }
         }
+        tracked
     }
 
     /// Records a join latency sample.
@@ -226,8 +264,8 @@ impl Metrics {
     /// are the run's registry snapshots at each window boundary before
     /// `end_us` (`measure_start_us + k·window_us`, each taken before any
     /// event at that instant) and `last` the snapshot at the end: the
-    /// traffic figures are their deltas, and `drop_reports` sums `last`'s
-    /// drop counters.
+    /// traffic figures and window RDPs are their deltas, and the lookup
+    /// outcome figures and `drop_reports` read `last`.
     pub fn finalize(self, end_us: u64, boundaries: &[Snapshot], last: &Snapshot) -> Report {
         let (mut lost, mut censored) = (0, 0);
         for p in self.ledger.values() {
@@ -242,33 +280,25 @@ impl Metrics {
         }
         // No boundary reached: nothing was measured.
         let base = boundaries.first().unwrap_or(last);
-        let total = Traffic::between(base, last);
+        let total = Delta::between(base, last);
         let ends = boundaries.iter().skip(1).chain(std::iter::once(last));
-        let traffic: Vec<Traffic> = boundaries
+        let node_seconds = total.node_us as f64 / 1e6;
+        let windows = boundaries
             .iter()
             .zip(ends)
-            .map(|(from, to)| Traffic::between(from, to))
+            .enumerate()
+            .map(|(i, (from, to))| {
+                let d = Delta::between(from, to);
+                let ns = d.node_us as f64 / 1e6;
+                WindowReport {
+                    start_us: self.measure_start_us + i as u64 * self.window_us,
+                    rdp: milli_mean(d.rdp_milli_sum, d.rdp_count),
+                    control_per_node_per_sec: per_node_second(d.control(), ns),
+                    per_category_per_node_per_sec: d.counts.map(|c| per_node_second(c, ns)),
+                    mean_active_nodes: ns / (self.window_us as f64 / 1e6),
+                }
+            })
             .collect();
-        let node_seconds = total.node_us as f64 / 1e6;
-        let n_windows = traffic.len().max(self.windows.len());
-        let mut windows = Vec::with_capacity(n_windows);
-        let quiet = Traffic::default();
-        for i in 0..n_windows {
-            let t = traffic.get(i).unwrap_or(&quiet);
-            let w = self.windows.get(i).cloned().unwrap_or_default();
-            let ns = t.node_us as f64 / 1e6;
-            windows.push(WindowReport {
-                start_us: self.measure_start_us + i as u64 * self.window_us,
-                rdp: if w.rdp_count > 0 {
-                    w.rdp_sum / w.rdp_count as f64
-                } else {
-                    0.0
-                },
-                control_per_node_per_sec: per_node_second(t.control(), ns),
-                per_category_per_node_per_sec: t.counts.map(|c| per_node_second(c, ns)),
-                mean_active_nodes: ns / (self.window_us as f64 / 1e6),
-            });
-        }
         let mut fine_counts: Vec<(&'static str, u64)> = KIND_NAMES
             .iter()
             .zip(SENT_KIND_COUNTERS)
@@ -277,6 +307,8 @@ impl Metrics {
             .collect();
         fine_counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let accounted = self.delivered + lost;
+        let (hops_sum, _) = sum_count(last, LOOKUP_HOPS);
+        let (rdp_milli_sum, rdp_count) = sum_count(last, LOOKUP_RDP_MILLI);
         let mut join_latencies_us = self.join_latencies_us;
         join_latencies_us.sort_unstable();
         Report {
@@ -289,13 +321,9 @@ impl Metrics {
             drop_reports: DROP_REASON_COUNTERS.iter().map(|c| last.counter(c)).sum(),
             incorrect_rate: rate(self.incorrect, accounted),
             loss_rate: rate(lost, accounted),
-            mean_rdp: if self.rdp_count > 0 {
-                self.rdp_sum / self.rdp_count as f64
-            } else {
-                0.0
-            },
+            mean_rdp: milli_mean(rdp_milli_sum, rdp_count),
             mean_hops: if self.delivered > 0 {
-                self.hops_sum as f64 / self.delivered as f64
+                hops_sum as f64 / self.delivered as f64
             } else {
                 0.0
             },
@@ -303,7 +331,7 @@ impl Metrics {
             totals_per_node_per_sec: total.counts.map(|c| per_node_second(c, node_seconds)),
             node_seconds,
             bytes_per_node_per_sec: per_node_second(total.bytes, node_seconds),
-            slow_deliveries: self.slow_deliveries,
+            slow_deliveries: last.counter(LOOKUP_SLOW),
             join_latencies_us,
             windows,
             fine_counts,
@@ -496,8 +524,8 @@ mod tests {
         m.sight_lookup(lid(1), 100);
         m.sight_lookup(lid(2), 100);
         m.sight_lookup(lid(3), 100);
-        m.on_delivered(500_000, lid(1), 100, true, 3, 1000);
-        m.on_delivered(500_000, lid(2), 100, false, 3, 1000);
+        m.on_delivered(500_000, lid(1), 100, true);
+        m.on_delivered(500_000, lid(2), 100, false);
         let r = m.finalize(100_000_000, &[], &Snapshot::default());
         assert_eq!(r.delivered, 2);
         assert_eq!(r.lost, 1);
@@ -519,8 +547,8 @@ mod tests {
     fn duplicate_deliveries_counted_once() {
         let mut m = Metrics::new(0, 1_000_000, 60_000_000);
         m.sight_lookup(lid(1), 0);
-        m.on_delivered(100, lid(1), 0, true, 1, 50);
-        m.on_delivered(200, lid(1), 0, true, 1, 50);
+        m.on_delivered(100, lid(1), 0, true);
+        m.on_delivered(200, lid(1), 0, true);
         let r = m.finalize(1_000_000, &[], &Snapshot::default());
         assert_eq!(r.delivered, 1);
         assert_eq!(r.duplicates, 1);
@@ -536,9 +564,9 @@ mod tests {
         let mut t = 0;
         while t + 800_000 < duration_us {
             m.sight_lookup(lid(seq), t);
-            m.on_delivered(t + 300_000, lid(seq), t, true, 2, 1000);
+            m.on_delivered(t + 300_000, lid(seq), t, true);
             if seq % 4 == 0 {
-                m.on_delivered(t + 800_000, lid(seq), t, true, 3, 1000);
+                m.on_delivered(t + 800_000, lid(seq), t, true);
             }
             max_len = max_len.max(m.ledger.len());
             seq += 1;
@@ -568,15 +596,15 @@ mod tests {
     fn duplicates_count_inside_the_window_only() {
         let mut m = Metrics::new(0, 1_000_000, 10_000_000);
         m.sight_lookup(lid(1), 0);
-        m.on_delivered(1_000, lid(1), 0, true, 1, 50);
+        m.on_delivered(1_000, lid(1), 0, true);
         // A retransmitted copy is sighted and delivered late but inside the
         // window: still a duplicate, and not re-counted as issued.
         m.sight_lookup(lid(1), 0);
-        m.on_delivered(10_001_000, lid(1), 0, true, 1, 50);
+        m.on_delivered(10_001_000, lid(1), 0, true);
         assert_eq!(m.ledger.len(), 1);
         // Another delivery after the window closes evicts the entry.
         m.sight_lookup(lid(2), 10_000_000);
-        m.on_delivered(10_002_000, lid(2), 10_000_000, true, 1, 50);
+        m.on_delivered(10_002_000, lid(2), 10_000_000, true);
         assert!(!m.ledger.contains_key(&lid(1)));
         let r = m.finalize(20_000_000, &[], &Snapshot::default());
         assert_eq!((r.issued, r.delivered, r.duplicates), (2, 2, 1));
@@ -584,13 +612,37 @@ mod tests {
 
     #[test]
     fn rdp_is_overlay_over_network_delay() {
+        assert_eq!(rdp_milli(2000, 1000), 2000);
+        assert_eq!(rdp_milli(1000, 3), 333_333, "rounds down below .5");
+        assert_eq!(rdp_milli(2000, 3), 666_667, "rounds up from .5");
+        let obs = Obs::new(0.0, 1);
+        let outcomes = Outcomes::register(&obs);
         let mut m = Metrics::new(0, 1_000_000, 60_000_000);
-        m.sight_lookup(lid(1), 0);
-        // Delivered at t=2000 with direct delay 1000 → RDP 2.
-        m.on_delivered(2000, lid(1), 0, true, 2, 1000);
-        let r = m.finalize(1_000_000, &[], &Snapshot::default());
-        assert!((r.mean_rdp - 2.0).abs() < 1e-9);
-        assert!((r.mean_hops - 2.0).abs() < 1e-9);
+        // Delivered at t=2000 with direct delay 1000 → RDP 2, and at
+        // t=3000 with direct delay 1000 → RDP 3 (then a duplicate).
+        for (seq, at, hops) in [(1, 2000, 2), (2, 3000, 4), (2, 5000, 9)] {
+            m.sight_lookup(lid(seq), 0);
+            if m.on_delivered(at, lid(seq), 0, true) {
+                outcomes.record(&obs, at, 0, hops, 1000);
+            }
+        }
+        // A self-delivery has no RDP sample, and a delivery over 1 s is slow.
+        m.sight_lookup(lid(3), 0);
+        assert!(m.on_delivered(0, lid(3), 0, true));
+        outcomes.record(&obs, 0, 0, 0, 0);
+        m.sight_lookup(lid(4), 0);
+        assert!(m.on_delivered(1_500_000, lid(4), 0, true));
+        outcomes.record(&obs, 1_500_000, 0, 3, 500_000);
+        let snap = obs.snapshot();
+        let r = m.finalize(1_000_000, std::slice::from_ref(&Snapshot::default()), &snap);
+        assert_eq!(r.delivered, 4);
+        assert_eq!(r.duplicates, 1);
+        assert_eq!(snap.histogram(LOOKUP_LATENCY_US).unwrap().count, 4);
+        assert_eq!(snap.histogram(LOOKUP_RDP_MILLI).unwrap().count, 3);
+        assert!((r.mean_rdp - 8.0 / 3.0).abs() < 1e-9, "{}", r.mean_rdp);
+        assert_eq!(r.mean_hops, 9.0 / 4.0);
+        assert_eq!(r.slow_deliveries, 1);
+        assert_eq!(r.windows[0].rdp, r.mean_rdp);
     }
 
     #[test]

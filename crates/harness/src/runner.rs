@@ -10,14 +10,14 @@
 //! deployments run the identical core.
 
 use crate::fxhash::FxHashMap;
-use crate::metrics::{Metrics, Report, ACTIVE_NODE_US};
+use crate::metrics::{Metrics, Outcomes, Report, ACTIVE_NODE_US};
 use crate::oracle::Oracle;
 use churn::{Trace, TraceEvent};
 use mspastry::{
     Config, Delivery, Driver, Event, Host, Id, Key, Message, Node, NodeId, Payload, TimerKind,
 };
 use netsim::{EndpointId, EventQueue, Network};
-use obs::{CounterId, HistId, HopEvent, Obs, Snapshot};
+use obs::{CounterId, HopEvent, Obs, Snapshot, TsWindow};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::{Topology, TopologyKind};
@@ -25,10 +25,6 @@ use topology::{Topology, TopologyKind};
 /// A lookup not delivered within this time of its issue counts as lost; a
 /// copy delivered within it of the first delivery counts as a duplicate.
 pub const LOOKUP_TIMEOUT_US: u64 = 60 * 1_000_000;
-
-/// Time-series windows kept in memory; past it the oldest are dropped (and
-/// counted), mirroring the flight recorder.
-pub const TS_MAX_WINDOWS: usize = 8_192;
 
 /// Sentinel for "not joining" in the endpoint-indexed join-start table.
 const NO_JOIN: u64 = u64::MAX;
@@ -129,11 +125,6 @@ pub struct RunConfig {
     /// Flight-recorder capacity in events; once full, the oldest events are
     /// overwritten (the count of casualties is reported).
     pub trace_capacity: usize,
-    /// Time-series sampling cadence in virtual microseconds (0 disables the
-    /// sampler). Sampling is a pure observer — it reads a registry snapshot
-    /// before the first event at or after each sample point and never
-    /// perturbs the simulation. At most [`TS_MAX_WINDOWS`] are kept.
-    pub ts_interval_us: u64,
     /// Self-profile the run loop: per-event-kind dispatch counts and wall
     /// time, plus event-queue depth gauges, reported under
     /// [`RunResult::prof`]. Wall-clock readings are nondeterministic, so the
@@ -161,7 +152,6 @@ impl RunConfig {
             outages: Vec::new(),
             trace_sample_rate: 0.0,
             trace_capacity: 65_536,
-            ts_interval_us: 0,
             profile: false,
         }
     }
@@ -206,9 +196,10 @@ pub struct RunResult {
     pub trace_events: Vec<HopEvent>,
     /// Trace events lost to ring-buffer overwrite.
     pub trace_overwritten: u64,
-    /// Per-interval metric deltas (only if `ts_interval_us > 0`); serialise
-    /// with [`obs::ts_jsonl`].
-    pub timeseries: Option<obs::TimeSeries>,
+    /// Per-window registry deltas: the warm-up `[0, warmup_us)`, then one
+    /// window per [`Report::windows`] entry, the last ending at the end of
+    /// the run. Serialise with [`obs::ts_jsonl`].
+    pub timeseries: Vec<TsWindow>,
     /// Run-loop self-profile (only if `profile`).
     pub prof: Option<obs::ProfReport>,
 }
@@ -257,8 +248,7 @@ struct World {
     queue: EventQueue<Ev>,
     metrics: Metrics,
     obs: Obs,
-    h_latency: HistId,
-    h_hops: HistId,
+    outcomes: Outcomes,
     oracle: Oracle,
     rng: SmallRng,
     node_ids: Vec<NodeId>,
@@ -287,9 +277,6 @@ struct World {
     window_snaps: Vec<Snapshot>,
     /// Next metrics-window boundary.
     next_window_us: u64,
-    /// Next time-series sample point (`u64::MAX` with the sampler off).
-    next_ts_us: u64,
-    timeseries: Option<obs::TimeSeries>,
 }
 
 /// Self-profiling state: the accumulator plus pre-registered kind slots, so
@@ -386,8 +373,7 @@ impl Runner {
         net.set_loss_rate(cfg.network_loss_rate);
         let obs = Obs::new(cfg.trace_sample_rate, cfg.trace_capacity);
         net.set_obs(obs.clone());
-        let h_latency = obs.histogram("lookup.latency_us");
-        let h_hops = obs.histogram("lookup.hops");
+        let outcomes = Outcomes::register(&obs);
         let active_node_us = obs.counter(ACTIVE_NODE_US);
         let metrics = Metrics::new(cfg.warmup_us, cfg.metrics_window_us, LOOKUP_TIMEOUT_US);
         let end_us = cfg.warmup_us + cfg.trace.duration_us();
@@ -401,8 +387,6 @@ impl Runner {
             }
             _ => Vec::new(),
         };
-        let timeseries = (cfg.ts_interval_us > 0)
-            .then(|| obs::TimeSeries::new(cfg.ts_interval_us, TS_MAX_WINDOWS));
         Runner {
             drivers: Vec::new(),
             prof: cfg.profile.then(Prof::new),
@@ -412,8 +396,7 @@ impl Runner {
                 queue: EventQueue::new(),
                 metrics,
                 obs,
-                h_latency,
-                h_hops,
+                outcomes,
                 oracle: Oracle::new(),
                 rng,
                 node_ids: Vec::new(),
@@ -434,8 +417,6 @@ impl Runner {
                 active_since_us: 0,
                 window_snaps: Vec::new(),
                 next_window_us: cfg.warmup_us,
-                next_ts_us: timeseries.as_ref().map_or(u64::MAX, |ts| ts.interval_us()),
-                timeseries,
                 cfg,
             },
         }
@@ -502,7 +483,7 @@ impl Runner {
                 p.profiler.record_pop(t0.elapsed().as_nanos() as u64);
             }
             let now = ev.at_us;
-            if now >= self.world.next_window_us.min(self.world.next_ts_us) {
+            if now >= self.world.next_window_us {
                 self.world.take_due_snapshots(now);
             }
             self.world.sim_events += 1;
@@ -534,10 +515,6 @@ impl Runner {
         let mut w = self.world;
         w.integrate_active(w.end_us);
         let diag = w.obs.snapshot();
-        // Close the tail window: deltas since the last on-cadence sample.
-        if let Some(ts) = w.timeseries.as_mut() {
-            ts.sample(w.queue.now_us(), &diag);
-        }
         let prof = self.prof.as_ref().map(|p| {
             p.profiler.report(
                 p.start.elapsed().as_micros() as u64,
@@ -568,14 +545,16 @@ impl Runner {
                 }
             }
         }
-        let report = w.metrics.finalize(w.end_us, &w.window_snaps, &diag);
+        let snaps = std::mem::take(&mut w.window_snaps);
+        let report = w.metrics.finalize(w.end_us, &snaps, &diag);
+        let timeseries = window_series(&w.cfg, w.end_us, snaps, &diag);
         let (trace_events, trace_overwritten) = w.obs.take_trace();
         RunResult {
             report,
             diag,
             trace_events,
             trace_overwritten,
-            timeseries: w.timeseries.take(),
+            timeseries,
             prof,
             trace_name: w.cfg.trace.name().to_string(),
             topology_name: w.net.topology().name(),
@@ -777,27 +756,15 @@ impl World {
         self.active_since_us = now;
     }
 
-    /// Takes the registry snapshots due at or before `now`, oldest first:
-    /// metrics-window boundaries and time-series sample points before the
-    /// end of the run (`finish` closes the last window of each). It runs
-    /// before the event at `now` is dispatched, so a snapshot at `t` holds
-    /// exactly what happened before `t`.
+    /// Takes the registry snapshots at the metrics-window boundaries due at
+    /// or before `now` and before the end of the run (`finish` closes the
+    /// last window). It runs before the event at `now` is dispatched, so a
+    /// snapshot at `t` holds exactly what happened before `t`.
     fn take_due_snapshots(&mut self, now: u64) {
-        loop {
-            let t = self.next_window_us.min(self.next_ts_us);
-            if t > now || t >= self.end_us {
-                break;
-            }
-            self.integrate_active(t);
-            let snap = self.obs.snapshot();
-            if let Some(ts) = self.timeseries.as_mut().filter(|_| t == self.next_ts_us) {
-                ts.sample(t, &snap);
-                self.next_ts_us += ts.interval_us();
-            }
-            if t == self.next_window_us {
-                self.window_snaps.push(snap);
-                self.next_window_us += self.cfg.metrics_window_us;
-            }
+        while self.next_window_us <= now && self.next_window_us < self.end_us {
+            self.integrate_active(self.next_window_us);
+            self.window_snaps.push(self.obs.snapshot());
+            self.next_window_us += self.cfg.metrics_window_us;
         }
     }
 
@@ -816,18 +783,18 @@ impl World {
     fn apply_deliver(&mut self, now: u64, ep: EndpointId, d: Delivery, node: &Node) {
         let deliverer = self.node_ids[ep];
         let correct = self.oracle.root_of(d.key) == Some(deliverer);
-        // Identifiers are never removed from `ep_of_id`, so the issuer's
-        // endpoint is known for every lookup.
-        let direct = match self.ep_of_id.get(&d.id.src.0) {
-            Some(&src) if src != ep => self.net.base_delay_us(src, ep),
-            _ => 0,
-        };
-        self.metrics
-            .on_delivered(now, d.id, d.issued_at_us, correct, d.hops, direct);
-        if d.issued_at_us >= self.cfg.warmup_us {
-            self.obs
-                .record(self.h_latency, now.saturating_sub(d.issued_at_us));
-            self.obs.record(self.h_hops, d.hops as u64);
+        if self
+            .metrics
+            .on_delivered(now, d.id, d.issued_at_us, correct)
+        {
+            // Identifiers are never removed from `ep_of_id`, so the issuer's
+            // endpoint is known for every lookup.
+            let direct = match self.ep_of_id.get(&d.id.src.0) {
+                Some(&src) if src != ep => self.net.base_delay_us(src, ep),
+                _ => 0,
+            };
+            self.outcomes
+                .record(&self.obs, now, d.issued_at_us, d.hops, direct);
         }
         if self.cfg.record_deliveries {
             let replica_sessions = node
@@ -891,6 +858,29 @@ impl World {
                 .schedule_in(delay, Ev::Msg { from, to: dst, msg });
         }
     }
+}
+
+/// Cuts a run's time series from its window-boundary snapshots `snaps`
+/// and its end-of-run snapshot `last`: the warm-up window, then one per
+/// metrics window.
+fn window_series(
+    cfg: &RunConfig,
+    end_us: u64,
+    snaps: Vec<Snapshot>,
+    last: &Snapshot,
+) -> Vec<TsWindow> {
+    let boundaries = (0..).map(|k| cfg.warmup_us + k * cfg.metrics_window_us);
+    let mut prev = (0, Snapshot::default());
+    let mut series: Vec<TsWindow> = boundaries
+        .zip(snaps)
+        .map(|(t, snap)| {
+            let w = TsWindow::between(prev.0, t, &prev.1, &snap);
+            prev = (t, snap);
+            w
+        })
+        .collect();
+    series.push(TsWindow::between(prev.0, end_us, &prev.1, last));
+    series
 }
 
 /// Exponential inter-arrival sample for a Poisson process, microseconds.
@@ -979,19 +969,21 @@ mod tests {
     #[test]
     fn timeseries_and_profile_collect_when_enabled() {
         let mut cfg = quick_config(static_trace(15, 10 * 60 * 1_000_000));
-        cfg.ts_interval_us = 60 * 1_000_000;
         cfg.profile = true;
         let res = run(cfg);
-        let ts = res.timeseries.as_ref().expect("sampler ran");
-        // 15 min total run (warmup + trace) at 1-minute cadence, plus the
-        // final partial window.
-        assert!(ts.len() >= 14, "windows {}", ts.len());
-        assert_eq!(ts.dropped(), 0);
+        let ts = &res.timeseries;
+        // The 5 min warm-up, then ten 1-minute metrics windows.
+        assert_eq!(ts.len(), 11);
+        assert_eq!((ts[0].start_us, ts[0].end_us), (0, 5 * 60 * 1_000_000));
+        assert_eq!(ts[10].end_us, 15 * 60 * 1_000_000);
+        for (w, r) in ts[1..].iter().zip(&res.report.windows) {
+            assert_eq!(w.start_us, r.start_us);
+        }
         // Per-window deltas must sum back to the end-of-run totals, for a
         // network counter and a protocol counter that both move.
         for name in ["net.delivered", "pns.measured"] {
             let total: u64 = ts
-                .windows()
+                .iter()
                 .flat_map(|w| w.counters.iter())
                 .filter(|(n, _)| n == name)
                 .map(|(_, d)| d)
@@ -1065,8 +1057,8 @@ mod tests {
     #[test]
     fn telemetry_is_off_by_default() {
         let res = run(quick_config(static_trace(5, 5 * 60 * 1_000_000)));
-        assert!(res.timeseries.is_none());
         assert!(res.prof.is_none());
+        assert!(!crate::run_json(&res).contains("\"prof\""));
     }
 
     /// Runs `cfg` to its end and returns the result plus the number of

@@ -5,7 +5,7 @@
 //! reuse) cannot silently perturb event order.
 
 use churn::poisson::{self, PoissonParams};
-use harness::{run, RunConfig};
+use harness::{run, RunConfig, Workload};
 use topology::TopologyKind;
 
 const MIN: u64 = 60 * 1_000_000;
@@ -86,52 +86,92 @@ fn trace_and_artifacts_are_bit_identical_across_runs() {
     );
 }
 
-/// Live telemetry (the interval sampler and the self-profiler) must also be
-/// a pure observer: with `--timeseries` and `--profile` on, the hop trace
-/// and the `mspastry-run/1` artifact — minus the telemetry-only `prof` and
-/// `timeseries` members — are bit-identical to a run without them, and the
-/// time series itself is deterministic across repeated runs.
+/// The registry holds each lookup outcome once: the outcome histograms
+/// record the first delivery of each tracked lookup and nothing else, so
+/// duplicate deliveries (rerouted or retransmitted copies) leave them alone.
+#[test]
+fn lookup_outcomes_are_recorded_once_per_delivered_lookup() {
+    let mut c = cfg(3);
+    // Heavy loss: some acks of a delivered lookup are lost often enough in
+    // a row that the lookup is rerouted and delivered again.
+    c.network_loss_rate = 0.12;
+    c.workload = Workload::Poisson {
+        rate_per_node_per_sec: 0.2,
+    };
+    let res = run(c);
+    let r = &res.report;
+    assert!(r.duplicates > 0, "no duplicate deliveries to leave out");
+    let hist = |name: &str| res.diag.histogram(name).expect(name);
+    assert_eq!(hist("lookup.latency_us").count, r.delivered);
+    let hops = hist("lookup.hops");
+    assert_eq!(hops.count, r.delivered);
+    assert_eq!(hops.sum as f64 / r.delivered as f64, r.mean_hops);
+    let rdp = hist("lookup.rdp_milli");
+    assert!(rdp.count > 0 && rdp.count <= r.delivered);
+    assert_eq!(rdp.sum as f64 / rdp.count as f64 / 1000.0, r.mean_rdp);
+    assert_eq!(res.diag.counter("lookup.slow"), r.slow_deliveries);
+}
+
+/// The self-profiler must be a pure observer: with `--profile` on, the hop
+/// trace, the registry and the `mspastry-run/1` artifact — minus the
+/// profile-only `prof` member — are bit-identical to a run without it. The
+/// time series is cut from the metrics-window snapshots: the warm-up
+/// window, then one window per report window, whose deltas sum back to the
+/// end-of-run registry and whose RDP the report repeats; and it is
+/// byte-identical across repeated runs.
 #[test]
 fn telemetry_is_a_pure_observer() {
-    let with_telemetry = |seed| {
-        let mut c = cfg(seed);
-        c.trace_sample_rate = 1.0;
-        c.ts_interval_us = MIN;
-        c.profile = true;
-        c
-    };
-    let plain = {
+    let traced = |profile| {
         let mut c = cfg(9);
         c.trace_sample_rate = 1.0;
+        c.profile = profile;
         run(c)
     };
-    let telem = run(with_telemetry(9));
+    let plain = traced(false);
+    let telem = traced(true);
 
-    // Strip the telemetry-only members; everything else must match byte for
-    // byte, including the hop-trace stream.
+    // Strip the profile; everything else must match byte for byte,
+    // including the hop-trace stream.
     let mut stripped = telem.clone();
-    stripped.timeseries = None;
     stripped.prof = None;
     assert_eq!(
         harness::run_json(&stripped),
         harness::run_json(&plain),
-        "telemetry perturbed the run artifact"
+        "profiling perturbed the run artifact"
     );
     assert_eq!(
         obs::trace_jsonl(&telem.trace_events),
         obs::trace_jsonl(&plain.trace_events),
-        "telemetry perturbed the hop trace"
+        "profiling perturbed the hop trace"
     );
-    assert_eq!(telem.diag, plain.diag, "telemetry perturbed the registry");
+    assert_eq!(telem.diag, plain.diag, "profiling perturbed the registry");
 
-    // The series artifact itself is reproducible.
-    let telem2 = run(with_telemetry(9));
-    let ts = telem.timeseries.as_ref().expect("sampler ran");
-    let ts2 = telem2.timeseries.as_ref().expect("sampler ran");
-    assert!(ts.len() > 10, "series too small to be meaningful");
+    let c = cfg(9);
+    let (ts, r) = (&telem.timeseries, &telem.report);
+    assert!(r.windows.len() > 3, "series too small to be meaningful");
+    assert_eq!(ts.len(), r.windows.len() + 1);
+    assert_eq!((ts[0].start_us, ts[0].end_us), (0, c.warmup_us));
+    for (w, rw) in ts[1..].iter().zip(&r.windows) {
+        assert_eq!(w.start_us, rw.start_us);
+        let rdp = w
+            .histograms
+            .iter()
+            .find(|(name, _, _)| name == "lookup.rdp_milli")
+            .map_or(0.0, |&(_, count, sum)| sum as f64 / count as f64 / 1000.0);
+        assert_eq!(rdp, rw.rdp, "window at {} us", w.start_us);
+    }
+    for (name, total) in &telem.diag.counters {
+        let sum: u64 = ts
+            .iter()
+            .flat_map(|w| &w.counters)
+            .filter(|(n, _)| n == name)
+            .map(|(_, d)| d)
+            .sum();
+        assert_eq!(sum, *total, "counter {name}");
+    }
     assert_eq!(
-        obs::ts_jsonl(ts),
-        obs::ts_jsonl(ts2),
+        obs::ts_jsonl(c.metrics_window_us, ts),
+        obs::ts_jsonl(c.metrics_window_us, &plain.timeseries),
         "time-series artifacts diverged"
     );
 }

@@ -51,7 +51,7 @@ proptest! {
             let id = LookupId { src: Id(1), seq };
             m.sight_lookup(id, issued_at);
             if delivered {
-                m.on_delivered(issued_at + 100, id, issued_at, true, 1, 50);
+                m.on_delivered(issued_at + 100, id, issued_at, true);
             }
         }
         let r = m.finalize(100_000_000, &[], &Snapshot::default());

@@ -65,20 +65,10 @@ impl Network {
         self.loss_rate = rate;
     }
 
-    /// Current uniform loss probability.
-    pub fn loss_rate(&self) -> f64 {
-        self.loss_rate
-    }
-
     /// Starts or ends a total outage: while set, every message is lost.
     /// Models transient network-wide failures (a core-router blackout).
     pub fn set_blackout(&mut self, on: bool) {
         self.blackout = on;
-    }
-
-    /// `true` while a total outage is in effect.
-    pub fn blackout(&self) -> bool {
-        self.blackout
     }
 
     /// The underlying topology.
@@ -92,16 +82,6 @@ impl Network {
         let router = points[self.rng.gen_range(0..points.len())];
         self.attach.push(router);
         self.attach.len() - 1
-    }
-
-    /// Number of attached end hosts.
-    pub fn endpoint_count(&self) -> usize {
-        self.attach.len()
-    }
-
-    /// The router an endpoint is attached to.
-    pub fn router_of(&self, e: EndpointId) -> RouterId {
-        self.attach[e]
     }
 
     /// Deterministic base one-way delay between two end hosts, microseconds.
@@ -148,12 +128,12 @@ mod tests {
     #[test]
     fn endpoints_attach_to_stub_routers() {
         let mut n = net();
-        for _ in 0..10 {
-            let e = n.add_endpoint();
-            let r = n.router_of(e);
+        for i in 0..10 {
+            assert_eq!(n.add_endpoint(), i, "endpoint ids are dense");
+        }
+        for &r in &n.attach {
             assert!(n.topology().attach_points().contains(&r));
         }
-        assert_eq!(n.endpoint_count(), 10);
     }
 
     #[test]

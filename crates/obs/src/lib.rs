@@ -15,8 +15,8 @@
 //! * a hand-rolled [`json`] writer for machine-readable artifacts (the
 //!   build environment is offline; no serde).
 //!
-//! Two live-telemetry layers sit on top: [`timeseries`] samples per-interval
-//! metric *deltas* on a clock-driven cadence (the `mspastry-ts/1` artifact),
+//! Two live-telemetry layers sit on top: [`timeseries`] cuts per-window
+//! metric *deltas* from registry snapshots (the `mspastry-ts/1` artifact),
 //! and [`prof`] accumulates the simulator's own per-event-kind dispatch
 //! counts and wall time (the run artifact's `"prof"` member).
 //!
@@ -36,7 +36,7 @@ pub use json::JsonWriter;
 pub use prof::{prof_json, KindStat, ProfReport, Profiler};
 pub use recorder::{FlightRecorder, HopEvent, HopKind, NO_PEER};
 pub use registry::{CounterId, HistId, Registry, Snapshot};
-pub use timeseries::{ts_jsonl, TimeSeries, TsWindow, TS_SCHEMA};
+pub use timeseries::{ts_jsonl, TsWindow, TS_SCHEMA};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -148,14 +148,6 @@ impl Obs {
         c.registry.inc(reason_counter);
         if c.recorder.borrow().sampled(ev.src, ev.seq) {
             c.recorder.borrow_mut().push(ev);
-        }
-    }
-
-    /// The configured trace sampling rate (0.0 when disabled).
-    pub fn trace_sample_rate(&self) -> f64 {
-        match &self.inner {
-            Some(c) => c.recorder.borrow().sample_rate(),
-            None => 0.0,
         }
     }
 

@@ -12,13 +12,17 @@ window list per seed with strictly increasing `start_us`), that
 TRACE_JSONL parses line by line, and that at least
 one sampled lookup's hop path can be reconstructed end to end (issue ->
 forwards covering 1..=hops -> deliver, with non-decreasing timestamps
-and an armed RTO on every forward). With --timeseries, also checks the
-`mspastry-ts/1` JSONL written by `--timeseries`: header consistent with
-the run artifact's summary, contiguous non-overlapping windows, delta
-counters strictly positive, and histogram deltas carrying both count
-and sum. If the run artifact has a `prof` member (from `--profile`),
-its internal invariants are checked too. Exits non-zero on any
-violation.
+and an armed RTO on every forward). A run's lookup-outcome metrics must
+count each delivered lookup once: the `lookup.latency_us` and
+`lookup.hops` histogram counts equal `report.delivered`, the
+`lookup.rdp_milli` count is at most that, and the `lookup.slow` counter
+equals `report.slow_deliveries`. With --timeseries, also checks the
+`mspastry-ts/1` JSONL written by `--timeseries`: contiguous windows from
+0, the first the warm-up and the rest lining up with `report.windows`,
+delta counters strictly positive, and histogram deltas carrying both
+count and sum. If the run artifact has a `prof` member (from
+`--profile`), its internal invariants are checked too. Exits non-zero
+on any violation.
 """
 
 import json
@@ -97,7 +101,8 @@ def check_run(path):
         if member not in doc:
             fail(f"missing top-level member {member!r}")
     report = doc["report"]
-    for key in ("issued", "delivered", "lost", "incorrect", "mean_rdp", "windows"):
+    for key in ("issued", "delivered", "lost", "incorrect", "mean_rdp",
+                "slow_deliveries", "windows"):
         if key not in report:
             fail(f"report missing {key!r}")
     if report["issued"] <= 0:
@@ -105,20 +110,34 @@ def check_run(path):
     diag = doc["diag"]
     if "counters" not in diag or "histograms" not in diag:
         fail("diag snapshot missing counters/histograms")
-    for hist in ("lookup.latency_us", "lookup.hops", "node.rtt_sample_us"):
-        if hist not in diag["histograms"]:
+    hists = diag["histograms"]
+    for hist in ("lookup.latency_us", "lookup.hops", "lookup.rdp_milli",
+                 "node.rtt_sample_us"):
+        if hist not in hists:
             fail(f"diag missing histogram {hist!r}")
+    # One record per outcome: the first delivery of each tracked lookup.
+    for hist in ("lookup.latency_us", "lookup.hops"):
+        if hists[hist]["count"] != report["delivered"]:
+            fail(f"histogram {hist!r} counts {hists[hist]['count']} "
+                 f"deliveries, report.delivered is {report['delivered']}")
+    if hists["lookup.rdp_milli"]["count"] > report["delivered"]:
+        fail(f"histogram 'lookup.rdp_milli' counts "
+             f"{hists['lookup.rdp_milli']['count']} samples, more than "
+             f"report.delivered {report['delivered']}")
     # The report's traffic figures are window deltas of registry counters:
     # the post-warmup fine counts can never exceed the whole-run sends.
     counters = diag["counters"]
     if "overlay.active_node_us" not in counters:
         fail("diag missing counter 'overlay.active_node_us'")
+    if counters.get("lookup.slow") != report["slow_deliveries"]:
+        fail(f"diag counter 'lookup.slow' is {counters.get('lookup.slow')}, "
+             f"report.slow_deliveries is {report['slow_deliveries']}")
     for kind, n in report.get("fine_counts", {}).items():
         sent = counters.get(f"sent.{kind}")
         if sent is None or sent < n:
             fail(f"report.fine_counts[{kind!r}] = {n} but diag counter "
                  f"'sent.{kind}' is {sent}")
-    h = diag["histograms"]["lookup.latency_us"]
+    h = hists["lookup.latency_us"]
     if h["count"] != sum(c for _, c in h["buckets"]):
         fail("histogram bucket counts do not sum to count")
     if "prof" in doc:
@@ -151,7 +170,7 @@ def check_prof(prof):
           f"{len(prof['kinds'])} kinds")
 
 
-def check_timeseries(path, summary):
+def check_timeseries(path, report):
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -162,18 +181,13 @@ def check_timeseries(path, summary):
         fail(f"{path}:1: bad header: {e}")
     if header.get("schema") != "mspastry-ts/1":
         fail(f"{path}: unexpected schema tag {header.get('schema')!r}")
-    for key in ("interval_us", "windows", "dropped"):
+    for key in ("interval_us", "windows"):
         if key not in header:
             fail(f"{path}: header missing {key!r}")
     if header["windows"] != len(lines) - 1:
         fail(f"{path}: header says {header['windows']} windows, "
              f"file has {len(lines) - 1}")
-    if summary is not None:
-        for key in ("interval_us", "windows", "dropped"):
-            if header[key] != summary.get(key):
-                fail(f"{path}: header {key}={header[key]} does not match run "
-                     f"artifact summary {summary.get(key)!r}")
-    prev_end = None
+    windows = []
     for i, line in enumerate(lines[1:], 2):
         try:
             w = json.loads(line)
@@ -182,13 +196,14 @@ def check_timeseries(path, summary):
         for key in ("start_us", "end_us", "counters", "histograms"):
             if key not in w:
                 fail(f"{path}:{i}: window missing {key!r}")
-        if w["end_us"] <= w["start_us"]:
+        # Only the warm-up window (the first) may be empty.
+        if w["end_us"] < w["start_us"] or (windows and w["end_us"] == w["start_us"]):
             fail(f"{path}:{i}: empty or inverted window "
                  f"[{w['start_us']}, {w['end_us']}]")
-        if prev_end is not None and w["start_us"] != prev_end:
+        prev_end = windows[-1]["end_us"] if windows else 0
+        if w["start_us"] != prev_end:
             fail(f"{path}:{i}: window starts at {w['start_us']}, previous "
                  f"ended at {prev_end} — series not contiguous")
-        prev_end = w["end_us"]
         for name, delta in w["counters"].items():
             if not isinstance(delta, int) or delta <= 0:
                 fail(f"{path}:{i}: counter {name!r} delta {delta!r} is not a "
@@ -196,8 +211,18 @@ def check_timeseries(path, summary):
         for name, h in w["histograms"].items():
             if "count" not in h or "sum" not in h:
                 fail(f"{path}:{i}: histogram {name!r} missing count/sum")
-    samples = sum(1 for l in lines[1:] if json.loads(l)["counters"])
-    print(f"check_artifact: {path}: {len(lines) - 1} contiguous windows "
+        windows.append(w)
+    # After the warm-up window, one window per report window.
+    starts = [w["start_us"] for w in report["windows"]]
+    if [w["start_us"] for w in windows[1:]] != starts:
+        fail(f"{path}: windows after the warm-up start at "
+             f"{[w['start_us'] for w in windows[1:]]}, report.windows at {starts}")
+    for w in windows[1:-1]:
+        if w["end_us"] - w["start_us"] != header["interval_us"]:
+            fail(f"{path}: window at {w['start_us']} lasts "
+                 f"{w['end_us'] - w['start_us']} us, not interval_us")
+    samples = sum(1 for w in windows if w["counters"])
+    print(f"check_artifact: {path}: {len(windows)} contiguous windows "
           f"({samples} non-quiet), interval {header['interval_us']} us")
 
 
@@ -255,7 +280,9 @@ def main():
     if len(args) > 1:
         check_trace(args[1], doc.get("trace", {}).get("events"))
     if ts_path is not None:
-        check_timeseries(ts_path, doc.get("timeseries"))
+        if doc.get("schema") != "mspastry-run/1":
+            fail("--timeseries needs a single-run artifact")
+        check_timeseries(ts_path, doc["report"])
     print("check_artifact: OK")
 
 
