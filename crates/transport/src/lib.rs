@@ -46,9 +46,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -97,7 +96,10 @@ pub struct UdpNode {
     local_addr: SocketAddr,
     cmd_tx: Sender<Cmd>,
     deliveries: Receiver<Delivery>,
-    active: Arc<AtomicBool>,
+    active: Arc<Active>,
+    /// A clone of the node's socket, used only to send the loop its wake
+    /// datagram on shutdown.
+    waker: UdpSocket,
     metrics: Option<MetricsServer>,
     thread: Option<JoinHandle<()>>,
 }
@@ -143,9 +145,10 @@ impl UdpNode {
         let socket = UdpSocket::bind(bind)?;
         socket.set_read_timeout(Some(Duration::from_millis(2)))?;
         let local_addr = socket.local_addr()?;
+        let waker = socket.try_clone()?;
         let (cmd_tx, cmd_rx) = channel();
         let (delivery_tx, deliveries) = channel();
-        let active = Arc::new(AtomicBool::new(false));
+        let active = Arc::new(Active::default());
         let active2 = active.clone();
         let shared: metrics::Shared = Arc::new(Mutex::new(None));
         let metrics_server = match telemetry.metrics_addr {
@@ -200,6 +203,7 @@ impl UdpNode {
             cmd_tx,
             deliveries,
             active,
+            waker,
             metrics: metrics_server,
             thread: Some(thread),
         };
@@ -229,20 +233,19 @@ impl UdpNode {
 
     /// `true` once the node has completed its join.
     pub fn is_active(&self) -> bool {
-        self.active.load(Ordering::Acquire)
+        *self.active.flag.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Blocks until the node is active or the timeout elapses; returns
-    /// whether it is active.
+    /// whether it is active. Woken by the join completing, not by polling.
     pub fn wait_active(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.is_active() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        self.is_active()
+        let flag = self.active.flag.lock().unwrap_or_else(|e| e.into_inner());
+        let (flag, _) = self
+            .active
+            .changed
+            .wait_timeout_while(flag, timeout, |active| !*active)
+            .unwrap_or_else(|e| e.into_inner());
+        *flag
     }
 
     /// Routes a lookup through the overlay.
@@ -261,10 +264,13 @@ impl UdpNode {
     }
 
     fn shutdown_inner(&mut self) {
+        let Some(t) = self.thread.take() else {
+            return;
+        };
         let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        // Wake the loop out of its socket read so it sees the command now.
+        let _ = self.waker.send_to(&[], self.local_addr);
+        let _ = t.join();
     }
 }
 
@@ -272,6 +278,14 @@ impl Drop for UdpNode {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
+}
+
+/// The node's join state, shared between the event loop (which sets it) and
+/// the handle (which waits on it).
+#[derive(Debug, Default)]
+struct Active {
+    flag: Mutex<bool>,
+    changed: Condvar,
 }
 
 /// The socket-facing state the [`UdpHost`] mutates while the node's driver
@@ -283,7 +297,7 @@ struct Io {
     timer_seq: u64,
     addrs: HashMap<u128, SocketAddr>,
     delivery_tx: Sender<Delivery>,
-    active: Arc<AtomicBool>,
+    active: Arc<Active>,
     /// Shared with the protocol node; disabled (a single branch per op)
     /// unless telemetry was requested.
     obs: obs::Obs,
@@ -338,7 +352,9 @@ impl Host for UdpHost<'_> {
     }
 
     fn became_active(&mut self) {
-        self.io.active.store(true, Ordering::Release);
+        let active = &self.io.active;
+        *active.flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        active.changed.notify_all();
     }
 }
 
@@ -426,8 +442,10 @@ impl EventLoop {
                 let Reverse((_, _, kind)) = self.io.timers.pop().unwrap();
                 self.step(Event::Timer(kind));
             }
-            // Incoming datagrams (the socket read timeout paces the loop).
+            // Incoming datagrams (the socket read timeout paces the loop). A
+            // zero-length datagram only wakes the loop (see `shutdown`).
             match self.io.socket.recv_from(&mut self.buf) {
+                Ok((0, _)) => {}
                 Ok((n, from_addr)) => {
                     let bytes = self.buf[..n].to_vec();
                     self.io.obs.inc(self.io.c_rx);

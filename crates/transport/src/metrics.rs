@@ -136,9 +136,9 @@ pub fn render_healthz(h: &Health) -> String {
 
 /// A minimal blocking HTTP/1.0 server for `/metrics` and `/healthz`.
 ///
-/// One accept-loop thread; connections are handled inline (scrapers are
-/// sequential and the bodies are small). Dropping the handle stops the
-/// thread.
+/// One accept-loop thread, blocked in `accept`; connections are handled
+/// inline (scrapers are sequential and the bodies are small). Dropping the
+/// handle stops the thread and closes the listener.
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -154,7 +154,6 @@ impl MetricsServer {
     /// Returns any TCP bind/configuration error.
     pub fn start<A: ToSocketAddrs>(bind: A, shared: Shared) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
@@ -177,31 +176,40 @@ impl MetricsServer {
 impl Drop for MetricsServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        // Wake the blocked `accept`. Should the connect fail, the thread is
+        // left to end with the process rather than hanging the drop.
+        if TcpStream::connect(self.addr).is_ok() {
+            if let Some(t) = self.thread.take() {
+                let _ = t.join();
+            }
         }
     }
 }
 
 fn serve(listener: TcpListener, shared: Shared, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = handle_conn(&mut stream, &shared);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => {}
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        if let Ok(mut stream) = stream {
+            let _ = handle_conn(&mut stream, &shared);
         }
     }
 }
 
 fn handle_conn(stream: &mut TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    // One read is enough for a GET request line; we never need the headers.
+    // Read up to the end of the header block (a client may send it in
+    // pieces), so the close below does not reset the connection over unread
+    // bytes. Only the request line is used.
     let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf)?;
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        match stream.read(&mut buf[n..])? {
+            0 => break,
+            read => n += read,
+        }
+    }
     let request = String::from_utf8_lossy(&buf[..n]);
     let path = request
         .strip_prefix("GET ")

@@ -8,23 +8,26 @@ use mspastry::Id;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
-use transport::{lan_config, Telemetry, UdpNode};
+use transport::{lan_config, Envelope, Telemetry, UdpNode};
 
-/// Polls every node's delivery channel until `expected` lookups arrive (each
-/// must surface at the node whose id equals the key) or the deadline passes.
-fn collect_deliveries(nodes: &[UdpNode], ids: &[Id], expected: usize, timeout: Duration) -> usize {
+/// Waits on each node's delivery channel in turn until `per_node` lookups
+/// have arrived there or the shared deadline passes. Every key is a node id,
+/// so node `i` is the root of exactly the lookups for `ids[i]`. Returns the
+/// total received.
+fn collect_deliveries(nodes: &[UdpNode], ids: &[Id], per_node: usize, timeout: Duration) -> usize {
     let deadline = Instant::now() + timeout;
     let mut received = 0;
-    while received < expected && Instant::now() < deadline {
-        for (i, node) in nodes.iter().enumerate() {
-            while let Ok(d) = node.deliveries().try_recv() {
-                assert_eq!(d.key, ids[i], "delivered at the key's root");
-                received += 1;
-            }
+    for (node, &id) in nodes.iter().zip(ids) {
+        for _ in 0..per_node {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let Ok(d) = node.deliveries().recv_timeout(wait) else {
+                break;
+            };
+            assert_eq!(d.key, id, "delivered at the key's root");
+            received += 1;
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
     received
 }
@@ -44,6 +47,8 @@ fn three_node_overlay_joins_and_routes_within_bound() {
             node.wait_active(Duration::from_secs(20)),
             "node {id} failed to join within bound"
         );
+        // Once active, is_active agrees and a wait returns whatever its bound.
+        assert!(node.is_active() && node.wait_active(Duration::ZERO));
         nodes.push(node);
     }
 
@@ -57,7 +62,7 @@ fn three_node_overlay_joins_and_routes_within_bound() {
             }
         }
     }
-    let received = collect_deliveries(&nodes, &ids, expected, Duration::from_secs(20));
+    let received = collect_deliveries(&nodes, &ids, ids.len() - 1, Duration::from_secs(20));
     assert_eq!(received, expected, "all lookups delivered at their roots");
     for node in nodes {
         node.shutdown();
@@ -209,9 +214,105 @@ fn udp_overlay_forms_and_routes_lookups() {
         let issuer = &nodes[(i + 1) % n];
         issuer.lookup(*target, i as u64);
     }
-    let received = collect_deliveries(&nodes, &ids, n, Duration::from_secs(20));
+    let received = collect_deliveries(&nodes, &ids, 1, Duration::from_secs(20));
     assert_eq!(received, n, "all lookups delivered at their roots");
     for node in nodes {
         node.shutdown();
     }
+}
+
+#[test]
+fn wait_active_returns_false_at_its_bound_when_the_seed_never_answers() {
+    // A bound socket that nobody reads: the join request goes out and no
+    // reply ever comes back.
+    let silent = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let seed = (Id(1 << 100), silent.local_addr().unwrap());
+    let node = UdpNode::spawn(Id(2 << 100), lan_config(), "127.0.0.1:0", Some(seed)).unwrap();
+    let bound = Duration::from_millis(300);
+    let t0 = Instant::now();
+    assert!(!node.wait_active(bound), "no join without a live seed");
+    let waited = t0.elapsed();
+    assert!(waited >= bound, "returned before its bound: {waited:?}");
+    assert!(waited < bound * 10, "overslept its bound: {waited:?}");
+    assert!(!node.is_active());
+    node.shutdown();
+}
+
+#[test]
+fn shutdown_joins_the_loop_and_closes_the_metrics_port() {
+    let telemetry = Telemetry {
+        metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+        stat_interval: None,
+    };
+    let node =
+        UdpNode::spawn_with(Id(9 << 100), lan_config(), "127.0.0.1:0", None, telemetry).unwrap();
+    let udp_addr = node.local_addr();
+    let metrics_addr = node.metrics_addr().unwrap();
+    TcpStream::connect(metrics_addr).expect("listener up while the node runs");
+    node.shutdown();
+    let err = TcpStream::connect(metrics_addr).expect_err("listener closed by shutdown");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    // The loop thread owned the node's socket; once it has been joined the
+    // port is free to bind again.
+    UdpSocket::bind(udp_addr).expect("node socket closed by shutdown");
+}
+
+#[test]
+fn empty_and_garbage_datagrams_are_survived_and_only_garbage_counts() {
+    let telemetry = Telemetry {
+        metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+        stat_interval: None,
+    };
+    let ids = [Id(11 << 100), Id(900 << 100)];
+    let boot = UdpNode::spawn_with(ids[0], lan_config(), "127.0.0.1:0", None, telemetry).unwrap();
+    let contact = (boot.id(), boot.local_addr());
+    let joiner = UdpNode::spawn(ids[1], lan_config(), "127.0.0.1:0", Some(contact)).unwrap();
+    assert!(joiner.wait_active(Duration::from_secs(20)), "joiner active");
+
+    // Zero-length datagrams first, then garbage: one sender on loopback, so
+    // the node reads them in this order.
+    let garbage: [&[u8]; 3] = [&[0xff; 7], &[0x00], &[0xde, 0xad, 0xbe, 0xef, 0x01]];
+    for g in garbage {
+        assert!(Envelope::decode(g).is_err(), "{g:?} must not decode");
+    }
+    let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for _ in 0..5 {
+        attacker.send_to(&[], boot.local_addr()).unwrap();
+    }
+    for g in garbage {
+        attacker.send_to(g, boot.local_addr()).unwrap();
+    }
+
+    // The node still routes: a lookup issued at the bootstrap for the
+    // joiner's id crosses the wire.
+    boot.lookup(ids[1], 5);
+    let d = joiner
+        .deliveries()
+        .recv_timeout(Duration::from_secs(20))
+        .expect("lookup delivered after the junk");
+    assert_eq!((d.key, d.payload), (ids[1], 5));
+
+    // Wait for a published snapshot that has seen all the garbage; the
+    // zero-length datagrams, read before it, must not have counted.
+    let addr = boot.metrics_addr().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let errors = loop {
+        let (status, _, body) = http_get(addr, "/metrics");
+        let errors = sample(&body, "mspastry_udp_decode_errors_total");
+        if status.contains("200") && errors.is_some_and(|e| e >= garbage.len() as f64) {
+            break errors.unwrap();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "garbage never counted: {errors:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    assert_eq!(
+        errors,
+        garbage.len() as f64,
+        "only garbage is a decode error"
+    );
+    joiner.shutdown();
+    boot.shutdown();
 }

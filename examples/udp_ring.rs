@@ -6,14 +6,17 @@
 //! ```sh
 //! cargo run --release -p transport --example udp_ring
 //! ```
+//!
+//! Exits non-zero if a node fails to join or a lookup is not delivered.
 
 use mspastry::Id;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::io;
 use std::time::{Duration, Instant};
 use transport::{lan_config, UdpNode};
 
-fn main() -> std::io::Result<()> {
+fn main() -> io::Result<()> {
     let n = 8;
     let mut rng = SmallRng::seed_from_u64(1);
     let ids: Vec<Id> = (0..n).map(|_| Id::random(&mut rng)).collect();
@@ -27,12 +30,14 @@ fn main() -> std::io::Result<()> {
     for &id in &ids[1..] {
         let t0 = Instant::now();
         let node = UdpNode::spawn(id, lan_config(), "127.0.0.1:0", Some(contact))?;
-        let ok = node.wait_active(Duration::from_secs(15));
+        if !node.wait_active(Duration::from_secs(15)) {
+            return Err(io::Error::other(format!("node {id} failed to join")));
+        }
         println!(
-            "  {} on {} joined in {:.0} ms (active: {ok})",
+            "  {} on {} joined in {:.2} ms",
             node.id(),
             node.local_addr(),
-            t0.elapsed().as_millis()
+            t0.elapsed().as_secs_f64() * 1e3
         );
         nodes.push(node);
     }
@@ -41,23 +46,28 @@ fn main() -> std::io::Result<()> {
     for (i, &target) in ids.iter().enumerate() {
         nodes[(i + 3) % n].lookup(target, i as u64);
     }
+    // Each key is a node id, so that node is the one to wait on.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut received = 0;
-    while received < n && Instant::now() < deadline {
-        for (i, node) in nodes.iter().enumerate() {
-            while let Ok(d) = node.deliveries().try_recv() {
-                println!(
-                    "  node {} delivered payload {} for key {} in {} hops",
-                    ids[i], d.payload, d.key, d.hops
-                );
-                received += 1;
-            }
+    for (node, id) in nodes.iter().zip(&ids) {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let delivered = node.deliveries().recv_timeout(wait).ok();
+        if let Some(d) = delivered.filter(|d| d.key == *id) {
+            println!(
+                "  node {id} delivered payload {} for key {} in {} hops",
+                d.payload, d.key, d.hops
+            );
+            received += 1;
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
     println!("\n{received}/{n} lookups delivered at their root nodes.");
     for node in nodes {
         node.shutdown();
+    }
+    if received < n {
+        return Err(io::Error::other(format!(
+            "only {received} of {n} lookups delivered"
+        )));
     }
     Ok(())
 }
