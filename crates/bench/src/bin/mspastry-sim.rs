@@ -60,14 +60,6 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let parse_or = |name: &str, default: f64| -> f64 {
-        get(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("bad value for {name}: {v}")))
-            })
-            .unwrap_or(default)
-    };
 
     if flag("--list-scenarios") {
         let s = bench::scale();
@@ -95,7 +87,7 @@ fn main() {
     check_flags(&args, "Ad-hoc mode");
 
     let positive = |name: &str, default: f64| -> f64 {
-        let v = parse_or(name, default);
+        let v: f64 = parse_flag(&args, name, default);
         if !(v.is_finite() && v > 0.0) {
             die(&format!("bad value for {name}: {v} (must be > 0)"));
         }
@@ -105,14 +97,14 @@ fn main() {
     let duration_us = (hours * 3600e6) as u64;
     let nodes = positive("--nodes", 200.0);
     let session_min = positive("--session", 60.0);
-    let seed = parse_or("--seed", 1.0) as u64;
-    let loss_pct = parse_or("--loss", 0.0);
+    let seed: u64 = parse_flag(&args, "--seed", 1);
+    let loss_pct: f64 = parse_flag(&args, "--loss", 0.0);
     if !(0.0..100.0).contains(&loss_pct) {
         die(&format!(
             "bad value for --loss: {loss_pct} (percent, in [0, 100))"
         ));
     }
-    let rate = parse_or("--lookups", 0.01);
+    let rate: f64 = parse_flag(&args, "--lookups", 0.01);
     if !(rate.is_finite() && rate >= 0.0) {
         die(&format!("bad value for --lookups: {rate} (must be >= 0)"));
     }
@@ -159,9 +151,9 @@ fn main() {
         Workload::None
     };
     cfg.seed = seed;
-    cfg.protocol.b = parse_or("--b", 4.0) as u8;
-    cfg.protocol.leaf_set_size = parse_or("--l", 32.0) as usize;
-    cfg.protocol.target_raw_loss = parse_or("--target-lr", 5.0) / 100.0;
+    cfg.protocol.b = parse_flag(&args, "--b", 4);
+    cfg.protocol.leaf_set_size = parse_flag(&args, "--l", 32);
+    cfg.protocol.target_raw_loss = parse_flag::<f64>(&args, "--target-lr", 5.0) / 100.0;
     cfg.protocol.per_hop_acks = !flag("--no-acks");
     cfg.protocol.active_rt_probing = !flag("--no-probing");
     cfg.protocol.probe_suppression = !flag("--no-suppression");
@@ -181,7 +173,7 @@ fn main() {
         })
         .unwrap_or(0.0);
     cfg.trace_sample_rate = trace_rate;
-    cfg.trace_capacity = parse_or("--trace-capacity", 65_536.0) as usize;
+    cfg.trace_capacity = parse_flag(&args, "--trace-capacity", 65_536);
     let trace_out = get("--trace-out").or_else(|| {
         (trace_rate > 0.0)
             .then(|| json_path.as_deref().map(|p| format!("{p}.trace.jsonl")))
@@ -305,16 +297,6 @@ fn main() {
 /// prints per-point means, figure-specific metrics included; `--json [PATH]`
 /// also writes the `mspastry-series/2` artifact plus a CSV next to it.
 fn run_scenario(name: &str, args: &[String]) {
-    let parse_or = |opt: &str, default: u64| -> u64 {
-        args.iter()
-            .position(|a| a == opt)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("bad value for {opt}: {v}")))
-            })
-            .unwrap_or(default)
-    };
     // `--json` takes an *optional* path in scenario mode: a following token
     // that looks like another option means "use the default path".
     let json = args
@@ -328,8 +310,8 @@ fn run_scenario(name: &str, args: &[String]) {
         die(&format!("unknown scenario: {name} (see --list-scenarios)"));
     };
     let mut cfg = SweepConfig::new(s);
-    cfg.seeds = parse_or("--seeds", 1);
-    cfg.jobs = parse_or("--jobs", 0) as usize;
+    cfg.seeds = parse_flag(args, "--seeds", 1);
+    cfg.jobs = parse_flag(args, "--jobs", 0);
     cfg.progress = args.iter().any(|a| a == "--progress");
 
     eprintln!(
@@ -447,6 +429,20 @@ fn check_flags(args: &[String], mode: &str) {
             _ => die(&format!("missing value for {flag}")),
         }
     }
+}
+
+/// The value after flag `name` parsed as a `T`, or `default` if the flag
+/// is absent; exits with a usage error if the value does not parse (so an
+/// integer flag rejects `4.7` and out-of-range values alike).
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| die(&format!("bad value for {name}: {v}")))
+        })
+        .unwrap_or(default)
 }
 
 fn die(msg: &str) -> ! {

@@ -73,6 +73,7 @@ fn out_of_range_values_fail() {
         ("--b", "0"),
         ("--b", "9"),
         ("--l", "7"),
+        ("--l", "1000000000000000"),
         ("--target-lr", "0"),
     ] {
         assert_usage_error(&[flag, value], "invalid protocol parameters");
@@ -82,6 +83,8 @@ fn out_of_range_values_fail() {
         ("--nodes", "-5"),
         ("--hours", "-1"),
         ("--lookups", "nan"),
+        ("--b", "4.7"),
+        ("--b", "300"),
     ] {
         assert_usage_error(&[flag, value], &format!("bad value for {flag}"));
     }

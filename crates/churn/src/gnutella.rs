@@ -32,17 +32,6 @@ impl Default for GnutellaParams {
     }
 }
 
-impl GnutellaParams {
-    /// Quick preset: ~200 active nodes for 2 simulated hours.
-    pub fn quick() -> Self {
-        GnutellaParams {
-            population_scale: 0.1,
-            duration_us: 2 * 3600 * 1_000_000,
-            ..Self::default()
-        }
-    }
-}
-
 /// Generates a Gnutella-like trace.
 pub fn trace(p: &GnutellaParams) -> Trace {
     let params = SynthParams {

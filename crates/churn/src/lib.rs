@@ -13,7 +13,12 @@
 //! ```
 //! use churn::gnutella::{self, GnutellaParams};
 //!
-//! let trace = gnutella::trace(&GnutellaParams::quick());
+//! // ~200 active nodes for 2 simulated hours.
+//! let trace = gnutella::trace(&GnutellaParams {
+//!     population_scale: 0.1,
+//!     duration_us: 2 * 3600 * 1_000_000,
+//!     seed: 101,
+//! });
 //! assert!(trace.active_at(trace.duration_us() / 2) > 50);
 //! let events = trace.events(); // (time, Join/Fail) pairs for the simulator
 //! assert!(!events.is_empty());

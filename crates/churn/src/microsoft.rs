@@ -31,17 +31,6 @@ impl Default for MicrosoftParams {
     }
 }
 
-impl MicrosoftParams {
-    /// Quick preset: ~300 active nodes for 4 simulated hours.
-    pub fn quick() -> Self {
-        MicrosoftParams {
-            population_scale: 0.02,
-            duration_us: 4 * 3600 * 1_000_000,
-            ..Self::default()
-        }
-    }
-}
-
 /// Generates a Microsoft-corporate-like trace.
 pub fn trace(p: &MicrosoftParams) -> Trace {
     let params = SynthParams {

@@ -30,16 +30,6 @@ impl Default for OvernetParams {
     }
 }
 
-impl OvernetParams {
-    /// Quick preset: full population for 2 simulated hours.
-    pub fn quick() -> Self {
-        OvernetParams {
-            duration_us: 2 * 3600 * 1_000_000,
-            ..Self::default()
-        }
-    }
-}
-
 /// Generates an OverNet-like trace.
 pub fn trace(p: &OvernetParams) -> Trace {
     let params = SynthParams {

@@ -2,18 +2,26 @@
 //!
 //! The simulator passes `Message` values by move, but a real deployment
 //! needs bytes on the wire. The encoding is a compact hand-rolled format:
-//! little-endian integers, a one-byte variant tag, and length-prefixed
-//! lists. Every decode is bounds-checked; malformed input yields a
+//! little-endian integers, a one-byte variant tag (`kind_index() + 1`), and
+//! length-prefixed lists.
+//!
+//! Each variant's layout is written once, as a walk over its fields that
+//! feeds a sink: the byte sink writes the encoding ([`encode`],
+//! [`encode_into`]), a counting sink adds up its size ([`encoded_len`]), and
+//! a collecting sink keeps the node identifiers it names
+//! ([`referenced_node_ids`]). [`decode`] is the one inverse; it names the
+//! variant of a tag through [`KIND_NAMES`], the table `kind_index()`
+//! indexes. Every decode is bounds-checked; malformed input yields a
 //! [`DecodeError`], never a panic.
 
 use crate::id::{Id, NodeId};
-use crate::messages::{LookupId, Message};
+use crate::messages::{LookupId, Message, KIND_NAMES};
 use std::fmt;
 
 /// Maximum list length accepted by the decoder (defence against hostile
 /// length prefixes; the largest legitimate lists are leaf sets and
 /// routing-table rows, both far below this).
-const MAX_LIST: usize = 4096;
+pub(crate) const MAX_LIST: usize = 4096;
 
 /// Error decoding a wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,58 +49,188 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-struct Writer {
-    buf: Vec<u8>,
+/// Destination of the field walk [`fields`]: the one description of each
+/// variant's wire layout, read by the byte writer (`Vec<u8>`), the size
+/// counter ([`Len`]) and the node-id collector ([`Nodes`]).
+trait Sink {
+    fn u8(&mut self, v: u8);
+    fn u32(&mut self, v: u32);
+    fn u64(&mut self, v: u64);
+    /// An identifier that names a node (a candidate for address hints).
+    fn node(&mut self, id: NodeId);
+    /// An identifier that is only a point on the ring (a lookup key).
+    fn key(&mut self, id: Id);
+    /// A length-prefixed list of node identifiers.
+    fn nodes(&mut self, ids: &[NodeId]) {
+        self.u32(ids.len() as u32);
+        for &id in ids {
+            self.node(id);
+        }
+    }
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer {
-            buf: Vec::with_capacity(64),
-        }
-    }
+impl Sink for Vec<u8> {
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.push(v);
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend_from_slice(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend_from_slice(&v.to_le_bytes());
     }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn node(&mut self, id: NodeId) {
+        self.extend_from_slice(&id.0.to_le_bytes());
     }
-    fn id(&mut self, id: Id) {
-        self.u128(id.0);
+    fn key(&mut self, id: Id) {
+        self.node(id);
     }
-    fn ids(&mut self, ids: &[NodeId]) {
-        self.u32(ids.len() as u32);
-        for id in ids {
-            self.id(*id);
+}
+
+/// Adds up the encoded size.
+struct Len(usize);
+
+impl Sink for Len {
+    fn u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn u32(&mut self, _: u32) {
+        self.0 += 4;
+    }
+    fn u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+    fn node(&mut self, _: NodeId) {
+        self.0 += 16;
+    }
+    fn key(&mut self, _: Id) {
+        self.0 += 16;
+    }
+    fn nodes(&mut self, ids: &[NodeId]) {
+        self.0 += 4 + 16 * ids.len();
+    }
+}
+
+/// Keeps the distinct node identifiers, in walk order.
+struct Nodes(Vec<NodeId>);
+
+impl Sink for Nodes {
+    fn u8(&mut self, _: u8) {}
+    fn u32(&mut self, _: u32) {}
+    fn u64(&mut self, _: u64) {}
+    fn node(&mut self, id: NodeId) {
+        if !self.0.contains(&id) {
+            self.0.push(id);
         }
     }
-    fn rows(&mut self, rows: &[Vec<NodeId>]) {
-        self.u32(rows.len() as u32);
-        for row in rows {
-            self.ids(row);
+    fn key(&mut self, _: Id) {}
+}
+
+fn rows(s: &mut impl Sink, rows: &[Vec<NodeId>]) {
+    s.u32(rows.len() as u32);
+    for row in rows {
+        s.nodes(row);
+    }
+}
+
+fn opt_u64(s: &mut impl Sink, v: Option<u64>) {
+    match v {
+        None => s.u8(0),
+        Some(x) => {
+            s.u8(1);
+            s.u64(x);
         }
     }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
+}
+
+fn lookup_id(s: &mut impl Sink, id: LookupId) {
+    s.node(id.src);
+    s.u64(id.seq);
+}
+
+/// Walks `msg`'s wire fields in order: the tag (`kind_index() + 1`), then
+/// the variant's fields. [`decode`] reads them back in the same order.
+fn fields(msg: &Message, s: &mut impl Sink) {
+    s.u8(msg.kind_index() as u8 + 1);
+    match msg {
+        Message::JoinRequest {
+            joiner,
+            rows: r,
+            hops,
+        } => {
+            s.node(*joiner);
+            rows(s, r);
+            s.u32(*hops);
+        }
+        Message::JoinReply { rows: r, leaf_set } => {
+            rows(s, r);
+            s.nodes(leaf_set);
+        }
+        Message::LsProbe {
+            leaf_set,
+            failed,
+            trt_hint,
+        }
+        | Message::LsProbeReply {
+            leaf_set,
+            failed,
+            trt_hint,
+        } => {
+            s.nodes(leaf_set);
+            s.nodes(failed);
+            opt_u64(s, *trt_hint);
+        }
+        Message::Heartbeat { trt_hint } => opt_u64(s, *trt_hint),
+        Message::RtProbeReply { nonce, trt_hint } => {
+            s.u64(*nonce);
+            opt_u64(s, *trt_hint);
+        }
+        Message::RtProbe { nonce }
+        | Message::DistanceProbe { nonce }
+        | Message::DistanceProbeReply { nonce } => s.u64(*nonce),
+        Message::DistanceReport { rtt_us } => s.u64(*rtt_us),
+        Message::RtRowRequest { row } | Message::NnRowRequest { row } => s.u64(*row as u64),
+        Message::RtRowReply { row, entries: ids }
+        | Message::RtRowAnnounce { row, entries: ids }
+        | Message::NnRowReply { row, nodes: ids } => {
+            s.u64(*row as u64);
+            s.nodes(ids);
+        }
+        Message::RtSlotRequest { row, col } => {
+            s.u64(*row as u64);
+            s.u8(*col);
+        }
+        Message::RtSlotReply { row, col, entry } => {
+            s.u64(*row as u64);
+            s.u8(*col);
+            match entry {
+                None => s.u8(0),
+                Some(id) => {
+                    s.u8(1);
+                    s.node(*id);
+                }
             }
         }
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn lookup_id(&mut self, id: LookupId) {
-        self.id(id.src);
-        self.u64(id.seq);
+        Message::NnLeafSetReply { nodes } => s.nodes(nodes),
+        Message::NnLeafSetRequest | Message::Leaving => {}
+        Message::Lookup {
+            id,
+            key,
+            payload,
+            hops,
+            issued_at_us,
+            is_retransmit,
+            wants_acks,
+        } => {
+            lookup_id(s, *id);
+            s.key(*key);
+            s.u64(*payload);
+            s.u32(*hops);
+            s.u64(*issued_at_us);
+            s.u8(*is_retransmit as u8);
+            s.u8(*wants_acks as u8);
+        }
+        Message::Ack { id } => lookup_id(s, *id),
     }
 }
 
@@ -180,123 +318,16 @@ impl<'a> Reader<'a> {
     }
 }
 
-// A message's wire tag is its `Message::kind_index() + 1`; decoding maps
-// the tags back (the round-trip test pins the correspondence).
-const T_JOIN_REQUEST: u8 = 1;
-const T_JOIN_REPLY: u8 = 2;
-const T_LS_PROBE: u8 = 3;
-const T_LS_PROBE_REPLY: u8 = 4;
-const T_HEARTBEAT: u8 = 5;
-const T_RT_PROBE: u8 = 6;
-const T_RT_PROBE_REPLY: u8 = 7;
-const T_RT_ROW_REQUEST: u8 = 8;
-const T_RT_ROW_REPLY: u8 = 9;
-const T_RT_ROW_ANNOUNCE: u8 = 10;
-const T_RT_SLOT_REQUEST: u8 = 11;
-const T_RT_SLOT_REPLY: u8 = 12;
-const T_DISTANCE_PROBE: u8 = 13;
-const T_DISTANCE_PROBE_REPLY: u8 = 14;
-const T_DISTANCE_REPORT: u8 = 15;
-const T_NN_LEAFSET_REQUEST: u8 = 16;
-const T_NN_LEAFSET_REPLY: u8 = 17;
-const T_NN_ROW_REQUEST: u8 = 18;
-const T_NN_ROW_REPLY: u8 = 19;
-const T_LOOKUP: u8 = 20;
-const T_ACK: u8 = 21;
-const T_LEAVING: u8 = 22;
-
 /// Encodes a message to bytes.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(msg.kind_index() as u8 + 1);
-    match msg {
-        Message::JoinRequest { joiner, rows, hops } => {
-            w.id(*joiner);
-            w.rows(rows);
-            w.u32(*hops);
-        }
-        Message::JoinReply { rows, leaf_set } => {
-            w.rows(rows);
-            w.ids(leaf_set);
-        }
-        Message::LsProbe {
-            leaf_set,
-            failed,
-            trt_hint,
-        } => {
-            w.ids(leaf_set);
-            w.ids(failed);
-            w.opt_u64(*trt_hint);
-        }
-        Message::LsProbeReply {
-            leaf_set,
-            failed,
-            trt_hint,
-        } => {
-            w.ids(leaf_set);
-            w.ids(failed);
-            w.opt_u64(*trt_hint);
-        }
-        Message::Heartbeat { trt_hint } => w.opt_u64(*trt_hint),
-        Message::RtProbe { nonce } => w.u64(*nonce),
-        Message::RtProbeReply { nonce, trt_hint } => {
-            w.u64(*nonce);
-            w.opt_u64(*trt_hint);
-        }
-        Message::RtRowRequest { row } => w.u64(*row as u64),
-        Message::RtRowReply { row, entries } => {
-            w.u64(*row as u64);
-            w.ids(entries);
-        }
-        Message::RtRowAnnounce { row, entries } => {
-            w.u64(*row as u64);
-            w.ids(entries);
-        }
-        Message::RtSlotRequest { row, col } => {
-            w.u64(*row as u64);
-            w.u8(*col);
-        }
-        Message::RtSlotReply { row, col, entry } => {
-            w.u64(*row as u64);
-            w.u8(*col);
-            match entry {
-                None => w.u8(0),
-                Some(id) => {
-                    w.u8(1);
-                    w.id(*id);
-                }
-            }
-        }
-        Message::DistanceProbe { nonce } => w.u64(*nonce),
-        Message::DistanceProbeReply { nonce } => w.u64(*nonce),
-        Message::DistanceReport { rtt_us } => w.u64(*rtt_us),
-        Message::NnLeafSetRequest | Message::Leaving => {}
-        Message::NnLeafSetReply { nodes } => w.ids(nodes),
-        Message::NnRowRequest { row } => w.u64(*row as u64),
-        Message::NnRowReply { row, nodes } => {
-            w.u64(*row as u64);
-            w.ids(nodes);
-        }
-        Message::Lookup {
-            id,
-            key,
-            payload,
-            hops,
-            issued_at_us,
-            is_retransmit,
-            wants_acks,
-        } => {
-            w.lookup_id(*id);
-            w.id(*key);
-            w.u64(*payload);
-            w.u32(*hops);
-            w.u64(*issued_at_us);
-            w.bool(*is_retransmit);
-            w.bool(*wants_acks);
-        }
-        Message::Ack { id } => w.lookup_id(*id),
-    }
-    w.buf
+    let mut buf = Vec::with_capacity(64);
+    encode_into(msg, &mut buf);
+    buf
+}
+
+/// Appends a message's encoding to `buf`.
+pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) {
+    fields(msg, buf);
 }
 
 /// Decodes a message from bytes.
@@ -307,48 +338,53 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// length prefixes, or trailing bytes.
 pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
     let mut r = Reader::new(bytes);
-    let msg = match r.u8()? {
-        T_JOIN_REQUEST => Message::JoinRequest {
+    let tag = r.u8()?;
+    let kind = (tag as usize)
+        .checked_sub(1)
+        .and_then(|i| KIND_NAMES.get(i))
+        .ok_or(DecodeError::UnknownTag(tag))?;
+    let msg = match *kind {
+        "join-request" => Message::JoinRequest {
             joiner: r.id()?,
             rows: r.rows()?,
             hops: r.u32()?,
         },
-        T_JOIN_REPLY => Message::JoinReply {
+        "join-reply" => Message::JoinReply {
             rows: r.rows()?,
             leaf_set: r.ids()?,
         },
-        T_LS_PROBE => Message::LsProbe {
+        "ls-probe" => Message::LsProbe {
             leaf_set: r.ids()?,
             failed: r.ids()?,
             trt_hint: r.opt_u64()?,
         },
-        T_LS_PROBE_REPLY => Message::LsProbeReply {
+        "ls-probe-reply" => Message::LsProbeReply {
             leaf_set: r.ids()?,
             failed: r.ids()?,
             trt_hint: r.opt_u64()?,
         },
-        T_HEARTBEAT => Message::Heartbeat {
+        "heartbeat" => Message::Heartbeat {
             trt_hint: r.opt_u64()?,
         },
-        T_RT_PROBE => Message::RtProbe { nonce: r.u64()? },
-        T_RT_PROBE_REPLY => Message::RtProbeReply {
+        "rt-probe" => Message::RtProbe { nonce: r.u64()? },
+        "rt-probe-reply" => Message::RtProbeReply {
             nonce: r.u64()?,
             trt_hint: r.opt_u64()?,
         },
-        T_RT_ROW_REQUEST => Message::RtRowRequest { row: r.usize_()? },
-        T_RT_ROW_REPLY => Message::RtRowReply {
+        "rt-row-request" => Message::RtRowRequest { row: r.usize_()? },
+        "rt-row-reply" => Message::RtRowReply {
             row: r.usize_()?,
             entries: r.ids()?,
         },
-        T_RT_ROW_ANNOUNCE => Message::RtRowAnnounce {
+        "rt-row-announce" => Message::RtRowAnnounce {
             row: r.usize_()?,
             entries: r.ids()?,
         },
-        T_RT_SLOT_REQUEST => Message::RtSlotRequest {
+        "rt-slot-request" => Message::RtSlotRequest {
             row: r.usize_()?,
             col: r.u8()?,
         },
-        T_RT_SLOT_REPLY => Message::RtSlotReply {
+        "rt-slot-reply" => Message::RtSlotReply {
             row: r.usize_()?,
             col: r.u8()?,
             entry: match r.u8()? {
@@ -356,17 +392,17 @@ pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
                 _ => Some(r.id()?),
             },
         },
-        T_DISTANCE_PROBE => Message::DistanceProbe { nonce: r.u64()? },
-        T_DISTANCE_PROBE_REPLY => Message::DistanceProbeReply { nonce: r.u64()? },
-        T_DISTANCE_REPORT => Message::DistanceReport { rtt_us: r.u64()? },
-        T_NN_LEAFSET_REQUEST => Message::NnLeafSetRequest,
-        T_NN_LEAFSET_REPLY => Message::NnLeafSetReply { nodes: r.ids()? },
-        T_NN_ROW_REQUEST => Message::NnRowRequest { row: r.usize_()? },
-        T_NN_ROW_REPLY => Message::NnRowReply {
+        "distance-probe" => Message::DistanceProbe { nonce: r.u64()? },
+        "distance-probe-reply" => Message::DistanceProbeReply { nonce: r.u64()? },
+        "distance-report" => Message::DistanceReport { rtt_us: r.u64()? },
+        "nn-leafset-request" => Message::NnLeafSetRequest,
+        "nn-leafset-reply" => Message::NnLeafSetReply { nodes: r.ids()? },
+        "nn-row-request" => Message::NnRowRequest { row: r.usize_()? },
+        "nn-row-reply" => Message::NnRowReply {
             row: r.usize_()?,
             nodes: r.ids()?,
         },
-        T_LOOKUP => Message::Lookup {
+        "lookup" => Message::Lookup {
             id: r.lookup_id()?,
             key: r.id()?,
             payload: r.u64()?,
@@ -375,112 +411,29 @@ pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
             is_retransmit: r.bool()?,
             wants_acks: r.bool()?,
         },
-        T_ACK => Message::Ack { id: r.lookup_id()? },
-        T_LEAVING => Message::Leaving,
-        t => return Err(DecodeError::UnknownTag(t)),
+        "ack" => Message::Ack { id: r.lookup_id()? },
+        "leaving" => Message::Leaving,
+        _ => return Err(DecodeError::UnknownTag(tag)),
     };
     r.finish()?;
     Ok(msg)
 }
 
-/// The exact encoded size of a message in bytes, without allocating.
-///
-/// Always equals `encode(msg).len()`; used for byte-level traffic
-/// accounting in the simulator.
+/// The exact encoded size of a message in bytes, without allocating;
+/// used for byte-level traffic accounting in the simulator.
 pub fn encoded_len(msg: &Message) -> usize {
-    let ids = |v: &Vec<NodeId>| 4 + 16 * v.len();
-    let rows = |r: &Vec<Vec<NodeId>>| 4 + r.iter().map(ids).sum::<usize>();
-    let opt = |v: &Option<u64>| if v.is_some() { 9 } else { 1 };
-    1 + match msg {
-        Message::JoinRequest { rows: r, .. } => 16 + rows(r) + 4,
-        Message::JoinReply { rows: r, leaf_set } => rows(r) + ids(leaf_set),
-        Message::LsProbe {
-            leaf_set,
-            failed,
-            trt_hint,
-        }
-        | Message::LsProbeReply {
-            leaf_set,
-            failed,
-            trt_hint,
-        } => ids(leaf_set) + ids(failed) + opt(trt_hint),
-        Message::Heartbeat { trt_hint } => opt(trt_hint),
-        Message::RtProbe { .. } => 8,
-        Message::RtProbeReply { trt_hint, .. } => 8 + opt(trt_hint),
-        Message::RtRowRequest { .. } => 8,
-        Message::RtRowReply { entries, .. } | Message::RtRowAnnounce { entries, .. } => {
-            8 + ids(entries)
-        }
-        Message::RtSlotRequest { .. } => 9,
-        Message::RtSlotReply { entry, .. } => 10 + if entry.is_some() { 16 } else { 0 },
-        Message::DistanceProbe { .. } | Message::DistanceProbeReply { .. } => 8,
-        Message::DistanceReport { .. } => 8,
-        Message::NnLeafSetRequest => 0,
-        Message::NnLeafSetReply { nodes } => ids(nodes),
-        Message::NnRowRequest { .. } => 8,
-        Message::NnRowReply { nodes, .. } => 8 + ids(nodes),
-        Message::Lookup { .. } => 24 + 16 + 8 + 4 + 8 + 2,
-        Message::Ack { .. } => 24,
-        Message::Leaving => 0,
-    }
+    let mut len = Len(0);
+    fields(msg, &mut len);
+    len.0
 }
 
-/// All node identifiers referenced inside a message (used by transports to
-/// piggyback address hints so receivers can resolve identifiers to network
-/// addresses).
+/// All distinct node identifiers referenced inside a message, in wire
+/// order (used by transports to piggyback address hints so receivers can
+/// resolve identifiers to network addresses). A lookup's key is not a node.
 pub fn referenced_node_ids(msg: &Message) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = Vec::new();
-    let mut push = |id: NodeId| {
-        if !out.contains(&id) {
-            out.push(id);
-        }
-    };
-    match msg {
-        Message::JoinRequest { joiner, rows, .. } => {
-            push(*joiner);
-            for row in rows {
-                for &n in row {
-                    push(n);
-                }
-            }
-        }
-        Message::JoinReply { rows, leaf_set } => {
-            for row in rows {
-                for &n in row {
-                    push(n);
-                }
-            }
-            for &n in leaf_set {
-                push(n);
-            }
-        }
-        Message::LsProbe {
-            leaf_set, failed, ..
-        }
-        | Message::LsProbeReply {
-            leaf_set, failed, ..
-        } => {
-            for &n in leaf_set.iter().chain(failed.iter()) {
-                push(n);
-            }
-        }
-        Message::RtRowReply { entries, .. } | Message::RtRowAnnounce { entries, .. } => {
-            for &n in entries {
-                push(n);
-            }
-        }
-        Message::NnLeafSetReply { nodes } | Message::NnRowReply { nodes, .. } => {
-            for &n in nodes {
-                push(n);
-            }
-        }
-        Message::RtSlotReply {
-            entry: Some(id), ..
-        } => push(*id),
-        Message::Lookup { id, .. } | Message::Ack { id } => push(id.src),
-        _ => {}
-    }
-    out
+    let mut nodes = Nodes(Vec::new());
+    fields(msg, &mut nodes);
+    nodes.0
 }
 
 #[cfg(test)]
@@ -607,7 +560,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert_eq!(decode(&[200]), Err(DecodeError::UnknownTag(200)));
+        let past_last = crate::messages::N_KINDS as u8 + 1;
+        for tag in [0, past_last, 200] {
+            assert_eq!(decode(&[tag]), Err(DecodeError::UnknownTag(tag)));
+        }
         assert_eq!(decode(&[]), Err(DecodeError::Truncated));
     }
 
@@ -645,5 +601,22 @@ mod tests {
             hops: 0,
         };
         assert_eq!(referenced_node_ids(&msg), vec![Id(1), Id(2)]);
+        // A lookup names its source, not its key.
+        let msg = Message::Lookup {
+            id: LookupId { src: Id(4), seq: 1 },
+            key: Id(5),
+            payload: 0,
+            hops: 0,
+            issued_at_us: 0,
+            is_retransmit: false,
+            wants_acks: true,
+        };
+        assert_eq!(referenced_node_ids(&msg), vec![Id(4)]);
+        let msg = Message::RtSlotReply {
+            row: 1,
+            col: 2,
+            entry: None,
+        };
+        assert_eq!(referenced_node_ids(&msg), vec![]);
     }
 }

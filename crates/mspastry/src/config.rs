@@ -138,6 +138,15 @@ impl Config {
                 self.leaf_set_size
             ));
         }
+        // A join reply lists the `l` members plus the root, and the codec
+        // accepts no list longer than `MAX_LIST`.
+        if self.leaf_set_size + 1 > crate::codec::MAX_LIST {
+            return Err(format!(
+                "leaf set size must be below {}, got {}",
+                crate::codec::MAX_LIST,
+                self.leaf_set_size
+            ));
+        }
         if self.t_o_us == 0 || self.t_ls_us == 0 {
             return Err("timeouts must be positive".into());
         }
@@ -192,6 +201,16 @@ mod tests {
             ..Config::default()
         };
         assert!(c.validate().is_err());
+        let c = Config {
+            leaf_set_size: crate::codec::MAX_LIST,
+            ..Config::default()
+        };
+        assert!(c.validate().is_err());
+        let c = Config {
+            leaf_set_size: crate::codec::MAX_LIST - 2,
+            ..Config::default()
+        };
+        assert!(c.validate().is_ok());
         let c = Config {
             target_raw_loss: 0.0,
             ..Config::default()

@@ -385,7 +385,7 @@ impl Node {
         let failed = &self.consistency.failed;
         for n in self
             .ls
-            .useful_candidates_filtered(&leaf_set, |n| !failed.contains(&n))
+            .useful_candidates(&leaf_set, |n| !failed.contains(&n))
         {
             if self.probe(n, ProbeKind::LeafSet, true, fx) {
                 self.ctx.obs.cause(ProbeCause::Candidate);

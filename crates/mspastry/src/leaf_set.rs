@@ -167,37 +167,16 @@ impl LeafSet {
         true
     }
 
-    /// `true` if offering `id` would change the set (used to decide whether a
-    /// leaf-set candidate is worth probing before insertion).
-    pub fn would_admit(&self, id: NodeId) -> bool {
-        if id == self.own || self.contains(id) {
-            return false;
-        }
-        let ccw = self.own.ccw_dist(id);
-        let cw = self.own.cw_dist(id);
-        let admit = |side: &Vec<NodeId>, dist: u128, dist_of: &dyn Fn(NodeId) -> u128| {
-            side.len() < self.half || dist < dist_of(*side.last().unwrap())
-        };
-        admit(&self.left, ccw, &|m| self.own.ccw_dist(m))
-            || admit(&self.right, cw, &|m| self.own.cw_dist(m))
-    }
-
-    /// Of `candidates`, returns those that would belong to the leaf set if
-    /// every candidate were admitted — i.e. the subset actually worth probing
-    /// before insertion.
+    /// Of `candidates` that pass `eligible`, returns those that would belong
+    /// to the leaf set if every such candidate were admitted — i.e. the
+    /// subset actually worth probing before insertion. The pre-filter lets
+    /// callers pass a raw peer leaf set without first collecting the eligible
+    /// subset into a temporary vector.
     ///
-    /// Probing every [`LeafSet::would_admit`] candidate would be wasteful:
-    /// after one member fails, *all* nodes beyond the span become admissible
-    /// for the single open slot, but only the closest one can end up in the
-    /// set.
-    pub fn useful_candidates(&self, candidates: &[NodeId]) -> Vec<NodeId> {
-        self.useful_candidates_filtered(candidates, |_| true)
-    }
-
-    /// [`LeafSet::useful_candidates`] with an admissibility pre-filter, so
-    /// callers can pass a raw peer leaf set without first collecting the
-    /// eligible subset into a temporary vector.
-    pub fn useful_candidates_filtered(
+    /// Probing every admissible candidate would be wasteful: after one member
+    /// fails, *all* nodes beyond the span become admissible for the single
+    /// open slot, but only the closest one can end up in the set.
+    pub fn useful_candidates(
         &self,
         candidates: &[NodeId],
         eligible: impl Fn(NodeId) -> bool,
@@ -470,18 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn would_admit_agrees_with_add() {
-        let mut s = ls(1000, 2);
-        for id in [1010u128, 1020, 990, 980] {
-            s.add(Id(id));
-        }
-        assert!(!s.would_admit(Id(1030)));
-        assert!(s.would_admit(Id(1005)));
-        assert!(!s.would_admit(Id(1010)), "already a member");
-        assert!(!s.would_admit(Id(1000)), "own id");
-    }
-
-    #[test]
     fn useful_candidates_matches_naive_merge_oracle() {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
@@ -529,7 +496,10 @@ mod tests {
                 candidates.push(c);
             }
             candidates.push(own);
-            assert_eq!(s.useful_candidates(&candidates), naive(&s, &candidates));
+            assert_eq!(
+                s.useful_candidates(&candidates, |_| true),
+                naive(&s, &candidates)
+            );
         }
     }
 

@@ -64,13 +64,11 @@ impl Node {
             MeasurePurpose::NearestNeighbor => (1, self.ctx.cfg.nn_probe_timeout_us, false),
             _ => (DISTANCE_PROBE_COUNT, self.ctx.cfg.t_o_us, true),
         };
-        if let Some(nonce) = self.measurement.measurer.start_with_retry(
-            target,
-            purpose,
-            want,
-            self.ctx.now_us,
-            retry,
-        ) {
+        if let Some(nonce) =
+            self.measurement
+                .measurer
+                .start(target, purpose, want, self.ctx.now_us, retry)
+        {
             self.send(target, Message::DistanceProbe { nonce }, fx);
             fx.timer(timeout, TimerKind::DistanceProbeTimeout { target, nonce });
         }

@@ -81,20 +81,9 @@ impl DistanceMeasurer {
 
     /// Starts measuring `target` with `want` samples; returns the nonce of
     /// the first probe, or `None` if a measurement is already running.
+    /// `retry_allowed` says whether a timed-out probe is retried once
+    /// (nearest-neighbour probes skip the retry to keep join latency low).
     pub fn start(
-        &mut self,
-        target: NodeId,
-        purpose: MeasurePurpose,
-        want: u32,
-        now_us: u64,
-    ) -> Option<u64> {
-        self.start_with_retry(target, purpose, want, now_us, true)
-    }
-
-    /// Like [`DistanceMeasurer::start`], with control over whether a timed-out
-    /// probe is retried once (nearest-neighbour probes skip the retry to keep
-    /// join latency low).
-    pub fn start_with_retry(
         &mut self,
         target: NodeId,
         purpose: MeasurePurpose,
@@ -351,7 +340,9 @@ mod tests {
     #[test]
     fn measurement_takes_median_of_samples() {
         let mut dm = DistanceMeasurer::new();
-        let n1 = dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).unwrap();
+        let n1 = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .unwrap();
         assert_eq!(dm.on_reply(Id(1), n1, 100), ReplyOutcome::NeedMore);
         let n2 = dm.next_probe(Id(1), 1000).unwrap();
         assert_eq!(dm.on_reply(Id(1), n2, 1090), ReplyOutcome::NeedMore);
@@ -366,16 +357,20 @@ mod tests {
     #[test]
     fn duplicate_start_is_rejected() {
         let mut dm = DistanceMeasurer::new();
-        assert!(dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).is_some());
         assert!(dm
-            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0)
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .is_some());
+        assert!(dm
+            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0, true)
             .is_none());
     }
 
     #[test]
     fn wrong_nonce_is_ignored() {
         let mut dm = DistanceMeasurer::new();
-        let n = dm.start(Id(1), MeasurePurpose::ConsiderRt, 1, 0).unwrap();
+        let n = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 1, 0, true)
+            .unwrap();
         assert_eq!(dm.on_reply(Id(1), n + 99, 50), ReplyOutcome::Ignored);
         assert_eq!(
             dm.on_reply(Id(1), n, 60),
@@ -387,7 +382,7 @@ mod tests {
     fn timeout_retries_once_then_abandons() {
         let mut dm = DistanceMeasurer::new();
         let n = dm
-            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0)
+            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0, true)
             .unwrap();
         let MeasureTimeout::Retry(n2) = dm.on_timeout(Id(1), n, 10) else {
             panic!("expected retry");
@@ -402,7 +397,9 @@ mod tests {
     #[test]
     fn stale_timeouts_and_probes_do_not_take_a_nonce() {
         let mut dm = DistanceMeasurer::new();
-        let n = dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).unwrap();
+        let n = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .unwrap();
         // Unknown target, wrong nonce, and a next probe while one is
         // outstanding: all stale, none may advance the counter.
         assert_eq!(dm.on_timeout(Id(2), n, 5), MeasureTimeout::Stale);
@@ -415,7 +412,9 @@ mod tests {
     #[test]
     fn abandon_with_partial_samples_returns_median() {
         let mut dm = DistanceMeasurer::new();
-        let n = dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).unwrap();
+        let n = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .unwrap();
         dm.on_reply(Id(1), n, 70);
         let n2 = dm.next_probe(Id(1), 100).unwrap();
         let MeasureTimeout::Retry(n3) = dm.on_timeout(Id(1), n2, 200) else {

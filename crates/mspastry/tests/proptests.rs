@@ -144,17 +144,6 @@ proptest! {
         prop_assert_eq!(ls.closest_to(key, |_| false), oracle);
     }
 
-    #[test]
-    fn would_admit_predicts_add(own in arb_id(), ids in prop::collection::vec(arb_id(), 0..30), candidate in arb_id(), half in 1usize..6) {
-        let mut ls = LeafSet::new(own, half);
-        for &id in &ids {
-            ls.add(id);
-        }
-        let predicted = ls.would_admit(candidate);
-        let changed = ls.add(candidate);
-        prop_assert_eq!(predicted, changed);
-    }
-
     // ----- routing ------------------------------------------------------------
 
     #[test]

@@ -24,15 +24,6 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Returns `s` escaped and quoted as a JSON string.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Frame {
     Object { first: bool, after_key: bool },
@@ -230,7 +221,6 @@ mod tests {
         let mut s = String::new();
         escape_into(&mut s, "a\"b\\c\nd\re\tf\u{08}g\u{0c}h\u{01}i√");
         assert_eq!(s, "a\\\"b\\\\c\\nd\\re\\tf\\bg\\fh\\u0001i√");
-        assert_eq!(quote("x\"y"), "\"x\\\"y\"");
     }
 
     #[test]

@@ -160,6 +160,7 @@ pub fn generate(params: &AsGraphParams) -> AsGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DelayMatrix;
 
     #[test]
     fn generated_graph_is_connected() {
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn delays_are_hop_multiples() {
         let a = generate(&AsGraphParams::tiny());
-        let m = a.graph.all_pairs_delay();
+        let m = DelayMatrix::lazy(a.graph.clone());
         let hop = AsGraphParams::tiny().hop_delay_us;
         for x in 0..m.len().min(20) as u32 {
             for y in 0..m.len().min(20) as u32 {
@@ -200,7 +201,7 @@ mod tests {
         // A pair in different stub ASes needs at least 2 inter-AS hops.
         let p = AsGraphParams::tiny();
         let a = generate(&p);
-        let m = a.graph.all_pairs_delay();
+        let m = DelayMatrix::lazy(a.graph.clone());
         let first = 0u32;
         let last = (a.graph.len() - 1) as u32;
         assert!(m.delay_us(first, last) >= 2 * p.hop_delay_us);

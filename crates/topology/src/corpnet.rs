@@ -136,6 +136,7 @@ pub fn generate(params: &CorpNetParams) -> CorpNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DelayMatrix;
 
     #[test]
     fn default_scale_is_near_298_routers() {
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn delay_distribution_is_bimodal() {
         let c = generate(&CorpNetParams::default());
-        let m = c.graph.all_pairs_delay();
+        let m = DelayMatrix::lazy(c.graph.clone());
         let p = CorpNetParams::default();
         let mut near = 0u64;
         let mut far = 0u64;
@@ -182,8 +183,8 @@ mod tests {
         let a = generate(&CorpNetParams::tiny());
         let b = generate(&CorpNetParams::tiny());
         assert_eq!(a.graph.len(), b.graph.len());
-        let ma = a.graph.all_pairs_delay();
-        let mb = b.graph.all_pairs_delay();
+        let ma = DelayMatrix::lazy(a.graph.clone());
+        let mb = DelayMatrix::lazy(b.graph.clone());
         for x in 0..ma.len() as u32 {
             for y in 0..ma.len() as u32 {
                 assert_eq!(ma.delay_us(x, y), mb.delay_us(x, y));

@@ -32,7 +32,8 @@ pub struct Edge {
 /// An undirected weighted multigraph of routers.
 ///
 /// The graph is built incrementally with [`Graph::add_edge`] and then frozen
-/// into a [`DelayMatrix`] with [`Graph::all_pairs_delay`].
+/// into a [`DelayMatrix`] with [`DelayMatrix::lazy`] (or, for a transit-stub
+/// topology, [`DelayMatrix::transit_stub`]).
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     adj: Vec<Vec<Edge>>,
@@ -163,24 +164,6 @@ impl Graph {
             .collect()
     }
 
-    /// Computes the all-pairs one-way delay matrix eagerly, running the
-    /// per-source Dijkstra passes across all available cores (the shared
-    /// [`pool`] utility; rows land in source order, so the matrix is
-    /// identical to a sequential build). For large graphs where the dense
-    /// matrix itself is the problem, use [`DelayMatrix::lazy`] instead.
-    pub fn all_pairs_delay(&self) -> DelayMatrix {
-        let n = self.adj.len();
-        let rows = pool::map(0, n, |src| self.delay_row(src as RouterId));
-        let mut data = Vec::with_capacity(n * n);
-        for row in rows {
-            data.extend_from_slice(&row);
-        }
-        DelayMatrix {
-            n,
-            table: Table::Dense(data),
-        }
-    }
-
     /// Returns `true` if every router can reach every other router.
     pub fn is_connected(&self) -> bool {
         if self.adj.is_empty() {
@@ -211,12 +194,9 @@ fn clamp_u32(d: u64) -> u32 {
 /// Backing storage of a [`DelayMatrix`].
 #[derive(Debug, Clone)]
 enum Table {
-    /// Fully materialised `n*n` row-major matrix.
-    Dense(Vec<u32>),
-    /// Rows computed on first use. A large graph's dense matrix is tens of
-    /// megabytes and thousands of Dijkstra passes, while a run only ever
-    /// asks about the routers its overlay nodes attach to, so the lazy form
-    /// stores the graph and fills rows on demand.
+    /// Rows computed on first use: a run only ever asks about the routers
+    /// its overlay nodes attach to, so the lazy form stores the graph and
+    /// fills rows on demand.
     Lazy {
         graph: Graph,
         rows: Vec<OnceLock<Box<[u32]>>>,
@@ -315,10 +295,10 @@ impl Composed {
 
 /// Matrix of one-way delays between all router pairs, in microseconds.
 ///
-/// Dense (precomputed, small graphs), lazily materialised per source row
-/// (large graphs), or composed from per-stub tables and a core matrix
-/// (transit-stub graphs); lookups are identical in result and deterministic
-/// in every form.
+/// Either lazily materialised per source row (any graph), or composed from
+/// per-stub tables and a core matrix (transit-stub graphs); both forms fill
+/// on first use, and every delay equals that of
+/// [`Graph::shortest_delays_from`] and is deterministic.
 #[derive(Debug, Clone)]
 pub struct DelayMatrix {
     n: usize,
@@ -378,13 +358,12 @@ impl DelayMatrix {
         self.n == 0
     }
 
-    /// Number of source rows currently materialised: `len()` for dense
-    /// matrices, the filled rows for lazy ones, and for composed ones the
-    /// routers whose table (their stub's, or the core matrix) is filled.
+    /// Number of source rows currently materialised: the filled rows of a
+    /// lazy matrix, and for a composed one the routers whose table (their
+    /// stub's, or the core matrix) is filled.
     /// Diagnostic for memory accounting.
     pub fn rows_materialized(&self) -> usize {
         match &self.table {
-            Table::Dense(_) => self.n,
             Table::Lazy { rows, .. } => rows.iter().filter(|r| r.get().is_some()).count(),
             Table::Composed(c) => c.rows_materialized(),
         }
@@ -399,7 +378,6 @@ impl DelayMatrix {
     pub fn delay_us(&self, a: RouterId, b: RouterId) -> u64 {
         assert!((a as usize) < self.n && (b as usize) < self.n);
         match &self.table {
-            Table::Dense(data) => data[a as usize * self.n + b as usize] as u64,
             Table::Lazy { graph, rows } => {
                 let row = rows[a as usize].get_or_init(|| graph.delay_row(a));
                 row[b as usize] as u64
@@ -443,8 +421,7 @@ mod tests {
 
     #[test]
     fn apsp_is_symmetric_for_undirected_graphs() {
-        let g = line_graph(6);
-        let m = g.all_pairs_delay();
+        let m = DelayMatrix::lazy(line_graph(6));
         for a in 0..6u32 {
             for b in 0..6u32 {
                 assert_eq!(m.delay_us(a, b), m.delay_us(b, a));
@@ -469,8 +446,7 @@ mod tests {
 
     #[test]
     fn pair_delay_is_the_link_delay() {
-        let g = line_graph(2);
-        let m = g.all_pairs_delay();
+        let m = DelayMatrix::lazy(line_graph(2));
         assert_eq!((m.delay_us(0, 1), m.delay_us(1, 0)), (1000, 1000));
         assert_eq!((m.delay_us(0, 0), m.delay_us(1, 1)), (0, 0));
     }
@@ -488,20 +464,19 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matrix_matches_dense() {
+    fn lazy_matrix_matches_dijkstra() {
         let mut g = line_graph(8);
         g.add_edge(0, 7, 3.0, 2500);
         g.add_edge(2, 5, 1.5, 700);
-        let dense = g.all_pairs_delay();
-        let lazy = DelayMatrix::lazy(g);
+        let lazy = DelayMatrix::lazy(g.clone());
         assert_eq!(lazy.rows_materialized(), 0);
         for a in 0..8u32 {
+            let expected = g.shortest_delays_from(a);
             for b in 0..8u32 {
-                assert_eq!(dense.delay_us(a, b), lazy.delay_us(a, b));
+                assert_eq!(lazy.delay_us(a, b), expected[b as usize]);
             }
+            assert_eq!(lazy.rows_materialized(), a as usize + 1);
         }
-        assert_eq!(lazy.rows_materialized(), 8);
-        assert_eq!(dense.rows_materialized(), 8);
     }
 
     #[test]
@@ -520,7 +495,7 @@ mod tests {
         g.add_edge(1, 2, 2.0, 2000);
         g.add_edge(0, 2, 5.0, 5000);
         g.add_edge(2, 3, 1.0, 1000);
-        let m = g.all_pairs_delay();
+        let m = DelayMatrix::lazy(g);
         for a in 0..4u32 {
             for b in 0..4u32 {
                 for c in 0..4u32 {

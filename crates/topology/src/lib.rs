@@ -10,9 +10,10 @@
 //! exposes a uniform [`Topology`] handle that the simulator queries for
 //! end-to-end delays.
 //!
-//! Transit-stub delays are composed from per-stub tables and a core matrix
-//! ([`DelayMatrix::transit_stub`]); other topologies use a dense matrix, or
-//! lazily filled rows above [`DENSE_APSP_LIMIT`] routers.
+//! No delay is computed until it is first asked for. Transit-stub delays
+//! are composed from per-stub tables and a core matrix
+//! ([`DelayMatrix::transit_stub`]); the AS and corporate graphs fill one
+//! shortest-path row per queried source router ([`DelayMatrix::lazy`]).
 //!
 //! # Example
 //!
@@ -76,27 +77,8 @@ pub struct Topology {
     lan_delay_us: u64,
 }
 
-/// Router count above which `Topology::build` keeps a graph's delay matrix
-/// lazy instead of materialising the dense all-pairs form (transit-stub
-/// topologies are composed at every size instead). At 1024 routers the
-/// dense matrix is 4 MB and builds in well under a second on a few cores; at
-/// Mercator's 1,984 routers it would be 16 MB and thousands of Dijkstra
-/// passes, almost all of which a simulation never reads.
-pub const DENSE_APSP_LIMIT: usize = 1024;
-
 impl Topology {
-    /// Freezes a router graph into a delay matrix: dense (built in parallel)
-    /// for small graphs, lazily materialised per row above
-    /// [`DENSE_APSP_LIMIT`].
-    fn freeze(graph: Graph) -> DelayMatrix {
-        if graph.len() <= DENSE_APSP_LIMIT {
-            graph.all_pairs_delay()
-        } else {
-            DelayMatrix::lazy(graph)
-        }
-    }
-
-    /// Builds the requested topology and precomputes its delay matrix.
+    /// Builds the requested topology; its delays fill on first use.
     pub fn build(kind: TopologyKind) -> Self {
         match kind {
             TopologyKind::GaTech => {
@@ -134,7 +116,7 @@ impl Topology {
         let a = as_graph::generate(p);
         Topology {
             name,
-            matrix: Self::freeze(a.graph),
+            matrix: DelayMatrix::lazy(a.graph),
             attach: a.routers,
             // The paper attaches Mercator end nodes directly to routers; at
             // our scaled-down router count two overlay nodes regularly share
@@ -150,7 +132,7 @@ impl Topology {
         let c = corpnet::generate(p);
         Topology {
             name,
-            matrix: Self::freeze(c.graph),
+            matrix: DelayMatrix::lazy(c.graph),
             attach: c.routers,
             lan_delay_us: 1_000,
         }
@@ -190,9 +172,8 @@ impl Topology {
     }
 
     /// Number of delay-matrix source rows currently materialised (see
-    /// [`DelayMatrix::rows_materialized`]); equals [`Topology::router_count`]
-    /// for densely built topologies and for composed ones once every table
-    /// is filled.
+    /// [`DelayMatrix::rows_materialized`]); 0 until the first query, and
+    /// [`Topology::router_count`] once every row or table is filled.
     pub fn delay_rows_materialized(&self) -> usize {
         self.matrix.rows_materialized()
     }
@@ -273,7 +254,6 @@ mod tests {
     #[test]
     fn mercator_defers_apsp() {
         let t = Topology::build(TopologyKind::Mercator);
-        assert!(t.router_count() > DENSE_APSP_LIMIT);
         assert_eq!(t.delay_rows_materialized(), 0, "no rows before first query");
         let a = t.attach_points()[0];
         let b = *t.attach_points().last().unwrap();
@@ -283,13 +263,6 @@ mod tests {
         assert_eq!(t.router_delay_us(a, b), t.router_delay_us(a, b));
         assert_eq!(t.router_delay_us(b, a), t.router_delay_us(b, a));
         assert_eq!(t.delay_rows_materialized(), 2);
-    }
-
-    #[test]
-    fn small_corpnet_stays_dense() {
-        let t = Topology::build(TopologyKind::CorpNet);
-        assert!(t.router_count() <= DENSE_APSP_LIMIT);
-        assert_eq!(t.delay_rows_materialized(), t.router_count());
     }
 
     #[test]

@@ -237,6 +237,7 @@ fn delay_jitter(rng: &mut SmallRng, mean_us: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DelayMatrix;
 
     #[test]
     fn default_size_is_near_5050_routers() {
@@ -270,8 +271,8 @@ mod tests {
         let b = generate(&TransitStubParams::tiny());
         assert_eq!(a.graph.len(), b.graph.len());
         assert_eq!(a.stubs, b.stubs);
-        let ma = a.graph.all_pairs_delay();
-        let mb = b.graph.all_pairs_delay();
+        let ma = DelayMatrix::lazy(a.graph.clone());
+        let mb = DelayMatrix::lazy(b.graph.clone());
         for x in 0..ma.len() as u32 {
             for y in 0..ma.len() as u32 {
                 assert_eq!(ma.delay_us(x, y), mb.delay_us(x, y));
@@ -288,8 +289,8 @@ mod tests {
         });
         // Router counts are random; either counts differ or some delay differs.
         if a.graph.len() == b.graph.len() {
-            let ma = a.graph.all_pairs_delay();
-            let mb = b.graph.all_pairs_delay();
+            let ma = DelayMatrix::lazy(a.graph.clone());
+            let mb = DelayMatrix::lazy(b.graph.clone());
             let mut any_diff = false;
             'outer: for x in 0..ma.len() as u32 {
                 for y in 0..ma.len() as u32 {
@@ -309,7 +310,7 @@ mod tests {
         // delay should be at least a transit-stub hop plus a fraction of a
         // core hop.
         let ts = generate(&TransitStubParams::small());
-        let m = ts.graph.all_pairs_delay();
+        let m = DelayMatrix::lazy(ts.graph.clone());
         let a = ts.stub_routers().start;
         let b = ts.stub_routers().end - 1;
         assert!(m.delay_us(a, b) > TransitStubParams::small().transit_stub_delay_us);

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use topology::graph::Graph;
 use topology::transit_stub::TransitStubParams;
-use topology::{Topology, TopologyKind};
+use topology::{DelayMatrix, Topology, TopologyKind};
 
 /// A random connected undirected graph where routing weight equals delay.
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
@@ -39,7 +39,7 @@ proptest! {
 
     #[test]
     fn shortest_path_delays_are_symmetric(g in arb_connected_graph()) {
-        let m = g.all_pairs_delay();
+        let m = DelayMatrix::lazy(g.clone());
         for a in 0..g.len() as u32 {
             for b in 0..g.len() as u32 {
                 prop_assert_eq!(m.delay_us(a, b), m.delay_us(b, a));
@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn shortest_path_delays_satisfy_triangle_inequality(g in arb_connected_graph()) {
         // Holds whenever routing weight == delay (true for this generator).
-        let m = g.all_pairs_delay();
+        let m = DelayMatrix::lazy(g.clone());
         let n = g.len() as u32;
         for a in 0..n {
             for b in 0..n {
@@ -63,7 +63,7 @@ proptest! {
 
     #[test]
     fn self_delay_is_zero_and_others_positive(g in arb_connected_graph()) {
-        let m = g.all_pairs_delay();
+        let m = DelayMatrix::lazy(g.clone());
         for a in 0..g.len() as u32 {
             prop_assert_eq!(m.delay_us(a, a), 0);
         }

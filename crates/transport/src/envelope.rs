@@ -37,7 +37,7 @@ impl Envelope {
             buf.extend_from_slice(&id.0.to_le_bytes());
             encode_addr(&mut buf, *addr);
         }
-        buf.extend_from_slice(&codec::encode(&self.msg));
+        codec::encode_into(&self.msg, &mut buf);
         buf
     }
 
