@@ -369,10 +369,9 @@ impl Host for SimHost<'_> {
 impl Runner {
     fn new(cfg: RunConfig) -> Self {
         let topo = Topology::build(cfg.topology.clone());
-        let mut net = Network::new(topo, cfg.seed ^ 0x6e65_7477);
-        net.set_loss_rate(cfg.network_loss_rate);
         let obs = Obs::new(cfg.trace_sample_rate, cfg.trace_capacity);
-        net.set_obs(obs.clone());
+        let mut net = Network::new(topo, cfg.seed ^ 0x6e65_7477, obs.clone());
+        net.set_loss_rate(cfg.network_loss_rate);
         let outcomes = Outcomes::register(&obs);
         let active_node_us = obs.counter(ACTIVE_NODE_US);
         let metrics = Metrics::new(cfg.warmup_us, cfg.metrics_window_us, LOOKUP_TIMEOUT_US);

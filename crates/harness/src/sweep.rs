@@ -2,11 +2,11 @@
 //! threads, aggregated into one artifact.
 //!
 //! [`run_sweep`] expands a [`Scenario`] at a [`Scale`], builds every
-//! `(point, seed index)` configuration, and fans the runs across a pool of
-//! workers (the shared [`pool`] utility — `jobs = 0` means one worker per
-//! available core). Each run is an independent single-threaded simulation
-//! with its own RNG, metrics and diagnostic registry, so parallelism cannot
-//! perturb results; [`pool::map`] returns results in grid order, so the
+//! `(point, seed index)` configuration, and fans the runs across scoped
+//! worker threads (`jobs = 0` means one worker per available core). Each
+//! run is an independent single-threaded simulation with its own RNG,
+//! metrics and diagnostic registry, so parallelism cannot perturb results;
+//! the private order-preserving `map` returns results in grid order, so the
 //! aggregation — per-point mean/stddev over seeds of the standard
 //! [`METRIC_NAMES`] and of the point's own figure-specific metrics, each
 //! run's metrics windows, and a merged diagnostic snapshot — and the
@@ -17,6 +17,7 @@ use crate::metrics::N_CATEGORIES;
 use crate::runner::{run, RunResult};
 use crate::scenario::{Scale, Scenario};
 use obs::{JsonWriter, Snapshot};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Schema identifier of the aggregated sweep artifact, the repository's
 /// one table schema.
@@ -140,6 +141,71 @@ fn standard_metrics(r: &RunResult) -> Vec<(&'static str, f64)> {
     METRIC_NAMES.into_iter().zip(values).collect()
 }
 
+/// Applies `f` to every index in `0..n` on up to `jobs` worker threads
+/// (`jobs = 0` means the host's available parallelism) and returns the
+/// results in index order. Workers claim indices from an atomic cursor, so
+/// one long run does not idle the others, and each result lands in the
+/// slot of its index.
+///
+/// The output is identical for every `jobs` value: scheduling only decides
+/// *which worker* computes an index, never *what* the index computes. With
+/// one effective worker (or `n <= 1`) everything runs inline on the caller's
+/// thread.
+///
+/// # Panics
+///
+/// Propagates the first panic raised by `f`.
+fn map<R, F>(jobs: usize, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let jobs = if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        jobs
+    };
+    let workers = jobs.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, f(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(v) => v,
+                Err(e) => std::panic::resume_unwind(e),
+            })
+            .collect()
+    });
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for chunk in &mut per_worker {
+        for (i, r) in chunk.drain(..) {
+            slots[i] = Some(r);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index claimed exactly once"))
+        .collect()
+}
+
 /// Runs a scenario's full (point × seed) grid and aggregates per point.
 pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
     let points = scenario.expand(cfg.scale);
@@ -148,12 +214,12 @@ pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
     // Progress state shared across workers. Only completion counters — the
     // runs themselves stay independent, so reporting cannot perturb results
     // (and the artifacts stay byte-identical with it on or off).
-    let done = std::sync::atomic::AtomicU64::new(0);
-    let events = std::sync::atomic::AtomicU64::new(0);
+    let done = AtomicU64::new(0);
+    let events = AtomicU64::new(0);
     let t0 = std::time::Instant::now();
-    // Grid index i = point * seeds + seed, so pool::map's order-preserving
-    // output is already grouped by point.
-    let results = pool::map(cfg.jobs, grid, |i| {
+    // Grid index i = point * seeds + seed, so map's order-preserving output
+    // is already grouped by point.
+    let results = map(cfg.jobs, grid, |i| {
         let point = &points[i / seeds];
         let seed = (i % seeds) as u64;
         let res = run((point.build)(seed));
@@ -162,7 +228,6 @@ pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
             metrics.extend(f(seed, &res));
         }
         if cfg.progress {
-            use std::sync::atomic::Ordering::Relaxed;
             let d = done.fetch_add(1, Relaxed) + 1;
             let ev = events.fetch_add(res.sim_events, Relaxed) + res.sim_events;
             let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
@@ -483,5 +548,49 @@ mod tests {
         assert_eq!(res.points.len(), 1);
         assert_eq!(res.points[0].runs.len(), 1);
         assert!(res.points[0].runs[0].report.issued > 0);
+    }
+
+    #[test]
+    fn results_are_in_index_order() {
+        let out = map(4, 100, |i| i * i);
+        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_jobs_means_available_parallelism() {
+        assert_eq!(map(0, 5, |i| i + 1), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn empty_and_single_inputs() {
+        assert_eq!(map(8, 0, |_| 0u32), Vec::<u32>::new());
+        assert_eq!(map(8, 1, |i| i), vec![0]);
+    }
+
+    #[test]
+    fn output_is_independent_of_worker_count() {
+        let expensive = |i: usize| {
+            // Uneven task costs exercise the dynamic cursor.
+            let mut x = i as u64;
+            for _ in 0..(i % 7) * 1000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            x
+        };
+        let seq = map(1, 50, expensive);
+        for jobs in [2, 3, 8] {
+            assert_eq!(map(jobs, 50, expensive), seq, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn worker_panics_propagate() {
+        map(2, 10, |i| {
+            if i == 7 {
+                panic!("boom");
+            }
+            i
+        });
     }
 }

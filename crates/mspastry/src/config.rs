@@ -5,8 +5,9 @@
 //! raw loss rate `Lr = 5 %`, and probe suppression. The values the paper
 //! never varies are constants beside the code that reads them:
 //! [`MAX_PROBE_RETRIES`] here, `FIXED_T_RT_US` and `FAILURE_HISTORY_LEN`
-//! for self-tuning, and `ACK_MAX_REROUTES` and [`crate::ROOT_RETX_ATTEMPTS`]
-//! for per-hop acks. Distance measurements always take the median of three probes,
+//! for self-tuning, `ACK_MAX_REROUTES` and [`crate::ROOT_RETX_ATTEMPTS`]
+//! for per-hop acks, and [`crate::JOIN_BUFFER_CAP`] for joining nodes.
+//! Distance measurements always take the median of three probes,
 //! nearest-neighbour search one, and probes are symmetric (§4.2).
 
 /// One second in the microsecond clock used throughout.
@@ -66,8 +67,6 @@ pub struct Config {
     pub exclude_root_on_ack_timeout: bool,
     /// Join retry period while a node has not become active, microseconds.
     pub join_retry_us: u64,
-    /// Capacity of the buffer for lookups received while inactive.
-    pub join_buffer_cap: usize,
 }
 
 impl Default for Config {
@@ -91,7 +90,6 @@ impl Default for Config {
             ack_rto_initial_us: 500_000,
             exclude_root_on_ack_timeout: true,
             join_retry_us: 30 * SECOND_US,
-            join_buffer_cap: 1024,
         }
     }
 }

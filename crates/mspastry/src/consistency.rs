@@ -18,7 +18,6 @@ use crate::probes::{ProbeKind, ProbeManager, TimeoutVerdict};
 use crate::routing::{route, NextHop};
 use crate::routing_table::DIST_UNKNOWN;
 use crate::tuning::SelfTuner;
-use obs::HopKind;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -518,29 +517,7 @@ impl Node {
                 continue;
             };
             self.ctx.obs.stranded_reroute();
-            if self.ctx.obs.sampled(id) {
-                let ev =
-                    self.ctx
-                        .hop_ev(id, HopKind::Exclude, j.0, p.hops, p.attempt, 0, "stranded");
-                self.ctx.obs.hop(ev);
-            }
-            let mut excluded = p.excluded;
-            if !excluded.contains(&j) {
-                excluded.push(j);
-            }
-            self.route_lookup(
-                id,
-                p.key,
-                p.payload,
-                p.hops,
-                p.issued_at_us,
-                excluded,
-                p.attempt + 1,
-                p.reroutes + 1,
-                true,
-                true,
-                fx,
-            );
+            self.reroute_around(p, j, "stranded", fx);
         }
     }
 

@@ -4,9 +4,9 @@
 //! pair-tracking map) that aggregated across every node in the process —
 //! including nodes of *other, concurrently running* simulations, which made
 //! parallel `cargo test` counters unusable. All diagnostic state now lives
-//! in the per-run [`obs::Obs`] registry the host threads into each node;
-//! nodes built without one ([`obs::Obs::disabled`]) pay a single branch per
-//! count.
+//! in the per-run [`obs::Obs`] registry the host threads into each node; a
+//! node built without one ([`crate::Node::new`]) counts into a registry of
+//! its own.
 
 use crate::events::DropReason;
 use crate::messages::{
@@ -176,7 +176,8 @@ impl NodeObs {
         self.obs.sampled(id.src.0, id.seq)
     }
 
-    /// Records a hop event (guard with [`Self::sampled`] first).
+    /// Records a hop event (guard with [`Self::sampled`] first; only
+    /// `Ctx::trace` calls the pair).
     #[inline]
     pub(crate) fn hop(&self, ev: HopEvent) {
         self.obs.hop(ev);
@@ -207,17 +208,6 @@ mod tests {
         assert_eq!(run_a.snapshot().counter("probe.cause.suspect"), 0);
         assert_eq!(run_b.snapshot().counter("probe.cause.repair"), 0);
         assert_eq!(run_b.snapshot().counter("probe.cause.suspect"), 1);
-    }
-
-    #[test]
-    fn disabled_obs_counts_nothing_and_panics_never() {
-        let n = NodeObs::new(Obs::disabled());
-        n.cause(ProbeCause::Candidate);
-        n.pns_measured();
-        n.rtt_sample(100);
-        n.retx_attempt(3);
-        n.sent(&Message::Leaving);
-        assert!(!n.sampled(LookupId { src: Id(1), seq: 1 }));
     }
 
     #[test]

@@ -18,37 +18,17 @@
 //!   node's [`Effects`], dispatches each resulting action to the host, and
 //!   keeps the buffer's capacity for the next event. It counts every send in
 //!   the node's registry, so both hosts report traffic under the same names.
-//! * [`Clock`] abstracts the host's time source; [`WallClock`] is the
-//!   real-time implementation used by the UDP transport. The simulator's
-//!   virtual time comes straight from its event queue, so it passes
-//!   timestamps to [`Driver::step`] directly.
+//! * Each host supplies the clock: the simulator's virtual time comes
+//!   straight from its event queue, the UDP transport reads a monotonic
+//!   wall clock, and both pass the timestamp to [`Driver::step`].
 //!
 //! Hosts never match on [`Action`] themselves; protocol outputs reach them
 //! only through the [`Host`] trait, so sim and deployment cannot drift.
 
-use crate::events::{Action, Effects, Event, TimerKind};
-use crate::id::{Key, NodeId};
-use crate::messages::{LookupId, Message, Payload};
+use crate::events::{Action, Delivery, Effects, Event, TimerKind};
+use crate::id::NodeId;
+use crate::messages::Message;
 use crate::node::Node;
-use std::time::Instant;
-
-/// A lookup that reached its root, handed to the host's application layer.
-///
-/// This is [`Action::Deliver`] flattened into a struct so hosts receive one
-/// typed value instead of destructuring an enum variant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery {
-    /// End-to-end lookup identity.
-    pub id: LookupId,
-    /// The destination key.
-    pub key: Key,
-    /// The application payload.
-    pub payload: Payload,
-    /// Overlay hops the lookup took.
-    pub hops: u32,
-    /// When the lookup was issued, microseconds.
-    pub issued_at_us: u64,
-}
 
 /// What a deployment must provide for the protocol core to run on it: a wire
 /// to send messages, a timer service, and sinks for application-visible
@@ -108,59 +88,11 @@ impl Driver {
                     host.send(to, msg);
                 }
                 Action::SetTimer { delay_us, kind } => host.set_timer(delay_us, kind),
-                Action::Deliver {
-                    id,
-                    key,
-                    payload,
-                    hops,
-                    issued_at_us,
-                } => host.deliver(
-                    Delivery {
-                        id,
-                        key,
-                        payload,
-                        hops,
-                        issued_at_us,
-                    },
-                    &self.node,
-                ),
+                Action::Deliver(delivery) => host.deliver(delivery, &self.node),
                 Action::BecameActive => host.became_active(),
             }
         }
         self.buf = fx.actions;
-    }
-}
-
-/// A monotonic time source for hosts that run on real time.
-pub trait Clock {
-    /// Microseconds elapsed since the clock's epoch.
-    fn now_us(&self) -> u64;
-}
-
-/// The real-time [`Clock`]: microseconds since construction, monotonic.
-#[derive(Debug, Clone)]
-pub struct WallClock {
-    epoch: Instant,
-}
-
-impl WallClock {
-    /// Starts a clock whose epoch is now.
-    pub fn new() -> Self {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
     }
 }
 
@@ -239,13 +171,5 @@ mod tests {
         );
         assert!(d.buf.capacity() >= cap.min(2), "capacity retained");
         assert!(d.buf.is_empty(), "buffer drained between steps");
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic() {
-        let c = WallClock::new();
-        let a = c.now_us();
-        let b = c.now_us();
-        assert!(b >= a);
     }
 }

@@ -106,20 +106,25 @@ pub enum Action {
         kind: TimerKind,
     },
     /// Deliver a lookup to the application: this node is the key's root.
-    Deliver {
-        /// End-to-end lookup identity.
-        id: LookupId,
-        /// The destination key.
-        key: Key,
-        /// The application payload.
-        payload: Payload,
-        /// Overlay hops the lookup took.
-        hops: u32,
-        /// When the lookup was issued, microseconds.
-        issued_at_us: u64,
-    },
+    Deliver(Delivery),
     /// The node completed its join and became active.
     BecameActive,
+}
+
+/// A lookup that reached its root, handed to the host's application layer
+/// ([`crate::driver::Host::deliver`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Delivery {
+    /// End-to-end lookup identity.
+    pub id: LookupId,
+    /// The destination key.
+    pub key: Key,
+    /// The application payload.
+    pub payload: Payload,
+    /// Overlay hops the lookup took.
+    pub hops: u32,
+    /// When the lookup was issued, microseconds.
+    pub issued_at_us: u64,
 }
 
 /// Why a lookup was dropped by a node.

@@ -47,7 +47,7 @@
 //! let delivered = fx
 //!     .drain()
 //!     .iter()
-//!     .any(|a| matches!(a, mspastry::Action::Deliver { .. }));
+//!     .any(|a| matches!(a, mspastry::Action::Deliver(_)));
 //! assert!(delivered);
 //! ```
 
@@ -73,9 +73,9 @@ pub mod rto;
 pub mod tuning;
 
 pub use config::Config;
-pub use driver::{Clock, Delivery, Driver, Host, WallClock};
-pub use events::{Action, DropReason, Effects, Event, TimerKind};
+pub use driver::{Driver, Host};
+pub use events::{Action, Delivery, DropReason, Effects, Event, TimerKind};
 pub use id::{Id, Key, NodeId};
 pub use messages::{Category, LookupId, Message, Payload};
 pub use node::Node;
-pub use reliability::ROOT_RETX_ATTEMPTS;
+pub use reliability::{JOIN_BUFFER_CAP, ROOT_RETX_ATTEMPTS};

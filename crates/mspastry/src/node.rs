@@ -25,13 +25,13 @@
 use crate::config::Config;
 use crate::consistency::Consistency;
 use crate::diag::NodeObs;
-use crate::events::{Effects, Event, TimerKind};
+use crate::events::{DropReason, Effects, Event, TimerKind};
 use crate::id::{Key, NodeId};
 use crate::leaf_set::LeafSet;
 use crate::maintenance::Maintenance;
 use crate::measurement::Measurement;
 use crate::messages::{LookupId, Message};
-use crate::reliability::{DuplicateWindow, Reliability};
+use crate::reliability::{DuplicateWindow, LookupRecord, Reliability};
 use crate::routing_table::RoutingTable;
 use obs::{HopEvent, HopKind};
 use rand::rngs::SmallRng;
@@ -51,9 +51,41 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// Builds a hop-trace event at the current clock for lookup `id`.
+    /// Traces one step of lookup `id` at the current clock. The event is
+    /// built only when the lookup is in the hop-trace sample.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn hop_ev(
+    pub(crate) fn trace(
+        &self,
+        id: LookupId,
+        kind: HopKind,
+        peer: u128,
+        hops: u32,
+        attempt: u32,
+        detail_us: u64,
+        note: &'static str,
+    ) {
+        if self.obs.sampled(id) {
+            self.obs
+                .hop(self.hop_ev(id, kind, peer, hops, attempt, detail_us, note));
+        }
+    }
+
+    /// Drops lookup `id` here: counts it under `reason` and traces the drop
+    /// when the lookup is sampled.
+    pub(crate) fn drop_lookup(
+        &self,
+        id: LookupId,
+        reason: DropReason,
+        peer: u128,
+        hops: u32,
+        attempt: u32,
+    ) {
+        let ev = self.hop_ev(id, HopKind::Drop, peer, hops, attempt, 0, reason.as_str());
+        self.obs.drop_event(reason, ev);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn hop_ev(
         &self,
         id: LookupId,
         kind: HopKind,
@@ -91,13 +123,14 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates an inactive node; feed it [`Event::Join`] to start.
+    /// Creates an inactive node; feed it [`Event::Join`] to start. It counts
+    /// into an observability registry of its own and traces nothing.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     pub fn new(id: NodeId, cfg: Config) -> Self {
-        Self::with_obs(id, cfg, obs::Obs::disabled())
+        Self::with_obs(id, cfg, obs::Obs::new(0.0, 1))
     }
 
     /// Creates an inactive node wired to a per-run observability handle:
@@ -263,7 +296,17 @@ impl Node {
                 issued_at_us,
                 is_retransmit: _,
                 wants_acks,
-            } => self.on_lookup(from, id, key, payload, hops, issued_at_us, wants_acks, fx),
+            } => {
+                let lookup = LookupRecord {
+                    id,
+                    key,
+                    payload,
+                    hops,
+                    issued_at_us,
+                    wants_acks,
+                };
+                self.on_lookup(from, lookup, fx)
+            }
             Message::Leaving => {
                 // The sender told us directly it is gone: skip failure
                 // detection entirely. No announcement — the leaver notified

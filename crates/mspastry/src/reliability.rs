@@ -9,7 +9,7 @@
 
 use crate::config::{Config, MAX_PROBE_RETRIES};
 use crate::diag::ProbeCause;
-use crate::events::{Action, DropReason, Effects, TimerKind};
+use crate::events::{Action, Delivery, DropReason, Effects, TimerKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::id::{Key, NodeId};
 use crate::messages::{LookupId, Message, Payload};
@@ -103,13 +103,53 @@ impl DuplicateWindow {
     }
 }
 
-/// A lookup buffered or in flight at this node, awaiting a per-hop ack.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingLookup {
+/// Lookups a joining node buffers before it drops further ones.
+pub const JOIN_BUFFER_CAP: usize = 1024;
+
+/// A lookup as this node holds it. It is built once, where the lookup
+/// enters the node (issued here, or received in a `Message::Lookup`), and
+/// the join buffer, every route and the pending entry carry it unchanged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LookupRecord {
+    pub(crate) id: LookupId,
     pub(crate) key: Key,
     pub(crate) payload: Payload,
+    /// Overlay hops the lookup took to reach this node.
     pub(crate) hops: u32,
     pub(crate) issued_at_us: u64,
+    pub(crate) wants_acks: bool,
+}
+
+impl LookupRecord {
+    /// The copy this node sends on, one hop further.
+    fn message(&self, is_retransmit: bool) -> Message {
+        Message::Lookup {
+            id: self.id,
+            key: self.key,
+            payload: self.payload,
+            hops: self.hops + 1,
+            issued_at_us: self.issued_at_us,
+            is_retransmit,
+            wants_acks: self.wants_acks,
+        }
+    }
+
+    /// The lookup handed to the application at its root, this node.
+    fn delivery(&self) -> Delivery {
+        Delivery {
+            id: self.id,
+            key: self.key,
+            payload: self.payload,
+            hops: self.hops,
+            issued_at_us: self.issued_at_us,
+        }
+    }
+}
+
+/// A lookup in flight from this node, awaiting a per-hop ack.
+#[derive(Debug, Clone)]
+pub(crate) struct PendingLookup {
+    pub(crate) lookup: LookupRecord,
     pub(crate) excluded: Vec<NodeId>,
     pub(crate) attempt: u32,
     /// How many times the lookup was re-routed around a suspect (excluding
@@ -122,24 +162,14 @@ pub(crate) struct PendingLookup {
     pub(crate) first_sent_us: u64,
 }
 
-/// A lookup buffered while the node is still joining.
-#[derive(Debug, Clone)]
-pub(crate) struct BufferedLookup {
-    pub(crate) id: LookupId,
-    pub(crate) key: Key,
-    pub(crate) payload: Payload,
-    pub(crate) hops: u32,
-    pub(crate) issued_at_us: u64,
-    pub(crate) wants_acks: bool,
-}
-
 /// Lookup-forwarding state owned by the reliability layer.
 #[derive(Debug)]
 pub(crate) struct Reliability {
     pub(crate) suspected: FxHashSet<NodeId>,
     pub(crate) pending: FxHashMap<LookupId, PendingLookup>,
     pub(crate) seen: DuplicateWindow,
-    pub(crate) buffered: Vec<BufferedLookup>,
+    /// Lookups that entered the node while it was still joining.
+    pub(crate) buffered: Vec<LookupRecord>,
     pub(crate) lookup_seq: u64,
     pub(crate) rtos: RtoTable,
 }
@@ -165,7 +195,7 @@ impl Reliability {
 }
 
 impl Node {
-    // ----- local lookups ----------------------------------------------------
+    // ----- lookups entering the node ----------------------------------------
 
     pub(crate) fn on_local_lookup(&mut self, key: Key, payload: Payload, fx: &mut Effects) {
         self.reliability.lookup_seq += 1;
@@ -174,120 +204,57 @@ impl Node {
             seq: self.reliability.lookup_seq,
         };
         self.reliability.seen.note(id, self.ctx.now_us);
-        if self.ctx.obs.sampled(id) {
-            let ev = self.ctx.hop_ev(id, HopKind::Issue, NO_PEER, 0, 0, 0, "");
-            self.ctx.obs.hop(ev);
-        }
-        if !self.ctx.active {
-            self.buffer_lookup(BufferedLookup {
-                id,
-                key,
-                payload,
-                hops: 0,
-                issued_at_us: self.ctx.now_us,
-                wants_acks: true,
-            });
-            return;
-        }
-        self.route_lookup(
+        self.ctx.trace(id, HopKind::Issue, NO_PEER, 0, 0, 0, "");
+        let lookup = LookupRecord {
             id,
             key,
             payload,
-            0,
-            self.ctx.now_us,
-            Vec::new(),
-            0,
-            0,
-            true,
-            false,
-            fx,
-        );
+            hops: 0,
+            issued_at_us: self.ctx.now_us,
+            wants_acks: true,
+        };
+        self.admit(lookup, fx);
     }
 
-    pub(crate) fn buffer_lookup(&mut self, bl: BufferedLookup) {
-        if self.reliability.buffered.len() >= self.ctx.cfg.join_buffer_cap {
-            let reason = DropReason::BufferOverflow;
-            let ev = self.ctx.hop_ev(
-                bl.id,
-                HopKind::Drop,
-                NO_PEER,
-                bl.hops,
-                0,
-                0,
-                reason.as_str(),
-            );
-            self.ctx.obs.drop_event(reason, ev);
-            return;
+    pub(crate) fn on_lookup(&mut self, from: NodeId, lookup: LookupRecord, fx: &mut Effects) {
+        let id = lookup.id;
+        if self.ctx.cfg.per_hop_acks && lookup.wants_acks {
+            self.send(from, Message::Ack { id }, fx);
         }
-        self.reliability.buffered.push(bl);
+        if !self.reliability.seen.note(id, self.ctx.now_us) {
+            return; // duplicate copy of a retransmitted or rerouted lookup
+        }
+        self.admit(lookup, fx);
+    }
+
+    /// Routes a lookup that just entered the node, or buffers it while the
+    /// node is still joining.
+    fn admit(&mut self, lookup: LookupRecord, fx: &mut Effects) {
+        if self.ctx.active {
+            self.route_lookup(lookup, Vec::new(), 0, 0, false, fx);
+        } else if self.reliability.buffered.len() >= JOIN_BUFFER_CAP {
+            self.ctx.drop_lookup(
+                lookup.id,
+                DropReason::BufferOverflow,
+                NO_PEER,
+                lookup.hops,
+                0,
+            );
+        } else {
+            self.reliability.buffered.push(lookup);
+        }
     }
 
     /// Routes every lookup buffered while the node was joining (called once,
     /// on activation).
     pub(crate) fn flush_buffered(&mut self, fx: &mut Effects) {
         let buffered = std::mem::take(&mut self.reliability.buffered);
-        for bl in buffered {
-            self.route_lookup(
-                bl.id,
-                bl.key,
-                bl.payload,
-                bl.hops,
-                bl.issued_at_us,
-                Vec::new(),
-                0,
-                0,
-                bl.wants_acks,
-                false,
-                fx,
-            );
+        for lookup in buffered {
+            self.route_lookup(lookup, Vec::new(), 0, 0, false, fx);
         }
     }
 
-    // ----- forwarded lookups and acks ---------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_lookup(
-        &mut self,
-        from: NodeId,
-        id: LookupId,
-        key: Key,
-        payload: Payload,
-        hops: u32,
-        issued_at_us: u64,
-        wants_acks: bool,
-        fx: &mut Effects,
-    ) {
-        if self.ctx.cfg.per_hop_acks && wants_acks {
-            self.send(from, Message::Ack { id }, fx);
-        }
-        if !self.reliability.seen.note(id, self.ctx.now_us) {
-            return; // duplicate copy of a retransmitted or rerouted lookup
-        }
-        if !self.ctx.active {
-            self.buffer_lookup(BufferedLookup {
-                id,
-                key,
-                payload,
-                hops,
-                issued_at_us,
-                wants_acks,
-            });
-            return;
-        }
-        self.route_lookup(
-            id,
-            key,
-            payload,
-            hops,
-            issued_at_us,
-            Vec::new(),
-            0,
-            0,
-            wants_acks,
-            false,
-            fx,
-        );
-    }
+    // ----- forwarding and acks ----------------------------------------------
 
     pub(crate) fn on_ack(&mut self, from: NodeId, id: LookupId) {
         if let Some(p) = self.reliability.pending.remove(&id) {
@@ -297,12 +264,8 @@ impl Node {
                 self.ctx.obs.rtt_sample(rtt);
                 self.reliability.rtos.update(from, rtt);
             }
-            if self.ctx.obs.sampled(id) {
-                let ev = self
-                    .ctx
-                    .hop_ev(id, HopKind::Ack, from.0, p.hops, p.attempt, rtt, "");
-                self.ctx.obs.hop(ev);
-            }
+            self.ctx
+                .trace(id, HopKind::Ack, from.0, p.lookup.hops, p.attempt, rtt, "");
         } else {
             // Stray or duplicate ack: the pending entry was already resolved
             // (acked, rerouted, or stranded-rerouted). Count it; never crash.
@@ -310,53 +273,32 @@ impl Node {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Routes `lookup` one hop on, avoiding `excluded` and every suspect,
+    /// or delivers it here if this node is its root. `attempt` and
+    /// `reroutes` count this hop's earlier tries.
     pub(crate) fn route_lookup(
         &mut self,
-        id: LookupId,
-        key: Key,
-        payload: Payload,
-        hops: u32,
-        issued_at_us: u64,
+        lookup: LookupRecord,
         excluded: Vec<NodeId>,
         attempt: u32,
         reroutes: u32,
-        wants_acks: bool,
         is_retransmit: bool,
         fx: &mut Effects,
     ) {
+        let id = lookup.id;
         let excl = self.reliability.excludes(&excluded);
-        let (next, empty_slot) = match route(&self.rt, &self.ls, key, excl) {
+        let (next, empty_slot) = match route(&self.rt, &self.ls, lookup.key, excl) {
             NextHop::Local => {
-                if !self.ctx.active || !self.ls.covers(key) {
-                    let reason = DropReason::NoRoute;
-                    let ev = self.ctx.hop_ev(
-                        id,
-                        HopKind::Drop,
-                        NO_PEER,
-                        hops,
-                        attempt,
-                        0,
-                        reason.as_str(),
-                    );
-                    self.ctx.obs.drop_event(reason, ev);
+                if !self.ctx.active || !self.ls.covers(lookup.key) {
+                    self.ctx
+                        .drop_lookup(id, DropReason::NoRoute, NO_PEER, lookup.hops, attempt);
                     return;
                 }
-                let root = self.ls.closest_to(key, |_| false);
+                let root = self.ls.closest_to(lookup.key, |_| false);
                 if root == self.ctx.id {
-                    if self.ctx.obs.sampled(id) {
-                        let ev =
-                            self.ctx
-                                .hop_ev(id, HopKind::Deliver, NO_PEER, hops, attempt, 0, "");
-                        self.ctx.obs.hop(ev);
-                    }
-                    fx.actions.push(Action::Deliver {
-                        id,
-                        key,
-                        payload,
-                        hops,
-                        issued_at_us,
-                    });
+                    self.ctx
+                        .trace(id, HopKind::Deliver, NO_PEER, lookup.hops, attempt, 0, "");
+                    fx.actions.push(Action::Deliver(lookup.delivery()));
                     return;
                 }
                 // A strictly closer leaf-set member exists but is excluded,
@@ -371,39 +313,27 @@ impl Node {
             }
             NextHop::Forward { next, empty_slot } => (next, empty_slot),
         };
-        self.send(
-            next,
-            Message::Lookup {
-                id,
-                key,
-                payload,
-                hops: hops + 1,
-                issued_at_us,
-                is_retransmit,
-                wants_acks,
-            },
-            fx,
-        );
-        if self.ctx.cfg.per_hop_acks && wants_acks {
+        self.send(next, lookup.message(is_retransmit), fx);
+        if self.ctx.cfg.per_hop_acks && lookup.wants_acks {
             let rto = self.reliability.rtos.rto_us(
                 next,
                 self.ctx.cfg.ack_rto_min_us,
                 self.ctx.cfg.ack_rto_initial_us,
             );
             self.ctx.obs.ack_rto(rto);
-            if self.ctx.obs.sampled(id) {
-                let ev = self
-                    .ctx
-                    .hop_ev(id, HopKind::Forward, next.0, hops + 1, attempt, rto, "");
-                self.ctx.obs.hop(ev);
-            }
+            self.ctx.trace(
+                id,
+                HopKind::Forward,
+                next.0,
+                lookup.hops + 1,
+                attempt,
+                rto,
+                "",
+            );
             self.reliability.pending.insert(
                 id,
                 PendingLookup {
-                    key,
-                    payload,
-                    hops,
-                    issued_at_us,
+                    lookup,
                     excluded,
                     attempt,
                     reroutes,
@@ -426,6 +356,33 @@ impl Node {
         }
     }
 
+    /// Re-routes a pending lookup whose ack from `silent` will not come:
+    /// traces the exclusion with `note`, adds `silent` to the lookup's
+    /// exclusions and routes it again as the next attempt and reroute.
+    pub(crate) fn reroute_around(
+        &mut self,
+        p: PendingLookup,
+        silent: NodeId,
+        note: &'static str,
+        fx: &mut Effects,
+    ) {
+        let lookup = p.lookup;
+        self.ctx.trace(
+            lookup.id,
+            HopKind::Exclude,
+            silent.0,
+            lookup.hops,
+            p.attempt,
+            0,
+            note,
+        );
+        let mut excluded = p.excluded;
+        if !excluded.contains(&silent) {
+            excluded.push(silent);
+        }
+        self.route_lookup(lookup, excluded, p.attempt + 1, p.reroutes + 1, true, fx);
+    }
+
     pub(crate) fn on_ack_timeout(&mut self, id: LookupId, attempt: u32, fx: &mut Effects) {
         let Some(p) = self.reliability.pending.get(&id) else {
             return;
@@ -437,6 +394,7 @@ impl Node {
             return;
         };
         let missed = p.next;
+        let key = p.lookup.key;
         // Probe the silent node; it is excluded from routing until it
         // answers, but only marked faulty if probing exhausts (§3.2).
         let kind = if self.ls.contains(missed) {
@@ -455,8 +413,8 @@ impl Node {
         // routing resolves against the repaired state).
         let is_final_hop = !self.consistency.failed.contains(&missed)
             && self.ls.contains(missed)
-            && self.ls.covers(p.key)
-            && self.ls.closest_to(p.key, |_| false) == missed;
+            && self.ls.covers(key)
+            && self.ls.closest_to(key, |_| false) == missed;
         if is_final_hop {
             let attempt = p.attempt + 1;
             // Retransmission budget: with the paper's default, a few quick
@@ -473,7 +431,7 @@ impl Node {
             let reroute_self_delivers = {
                 let excl = self.reliability.excludes(&p.excluded);
                 matches!(
-                    route(&self.rt, &self.ls, p.key, |n| n == missed || excl(n)),
+                    route(&self.rt, &self.ls, key, |n| n == missed || excl(n)),
                     NextHop::Local
                 )
             };
@@ -508,31 +466,16 @@ impl Node {
                 } else {
                     rto
                 };
-                if self.ctx.obs.sampled(id) {
-                    let ev = self.ctx.hop_ev(
-                        id,
-                        HopKind::Retransmit,
-                        missed.0,
-                        p.hops + 1,
-                        attempt,
-                        rto,
-                        "final-hop",
-                    );
-                    self.ctx.obs.hop(ev);
-                }
-                self.send(
-                    missed,
-                    Message::Lookup {
-                        id,
-                        key: p.key,
-                        payload: p.payload,
-                        hops: p.hops + 1,
-                        issued_at_us: p.issued_at_us,
-                        is_retransmit: true,
-                        wants_acks: true,
-                    },
-                    fx,
+                self.ctx.trace(
+                    id,
+                    HopKind::Retransmit,
+                    missed.0,
+                    p.lookup.hops + 1,
+                    attempt,
+                    rto,
+                    "final-hop",
                 );
+                self.send(missed, p.lookup.message(true), fx);
                 self.reliability.pending.insert(
                     id,
                     PendingLookup {
@@ -550,66 +493,29 @@ impl Node {
                 );
                 return;
             }
-            if !self.ctx.cfg.exclude_root_on_ack_timeout {
-                let reason = DropReason::TooManyReroutes;
-                let ev = self.ctx.hop_ev(
-                    id,
-                    HopKind::Drop,
-                    missed.0,
-                    p.hops,
-                    p.attempt,
-                    0,
-                    reason.as_str(),
-                );
-                self.ctx.obs.drop_event(reason, ev);
-                return;
-            }
-            // Budget exhausted: fall through to exclude the root and deliver
-            // at the now-closest node.
+            // Budget exhausted: the paper's default falls through to exclude
+            // the root and deliver at the now-closest node; the
+            // consistency-first variant drops the lookup below.
         }
         // Intermediate hop (or the root is already gone): exclude the silent
         // node and exploit a redundant route. Only genuine reroutes count
         // against the budget — same-root retransmissions above must not
         // starve a lookup of its redundant routes.
-        if p.reroutes + 1 > ACK_MAX_REROUTES {
-            let reason = DropReason::TooManyReroutes;
-            let ev = self.ctx.hop_ev(
+        let give_up = (is_final_hop && !self.ctx.cfg.exclude_root_on_ack_timeout)
+            || p.reroutes + 1 > ACK_MAX_REROUTES;
+        if give_up {
+            self.ctx.drop_lookup(
                 id,
-                HopKind::Drop,
+                DropReason::TooManyReroutes,
                 missed.0,
-                p.hops,
+                p.lookup.hops,
                 p.attempt,
-                0,
-                reason.as_str(),
             );
-            self.ctx.obs.drop_event(reason, ev);
             return;
         }
         self.ctx.obs.reroute();
-        if self.ctx.obs.sampled(id) {
-            let ev = self
-                .ctx
-                .hop_ev(id, HopKind::Exclude, missed.0, p.hops, p.attempt, 0, "");
-            self.ctx.obs.hop(ev);
-        }
-        let mut excluded = p.excluded;
         self.reliability.suspected.insert(missed);
-        if !excluded.contains(&missed) {
-            excluded.push(missed);
-        }
-        self.route_lookup(
-            id,
-            p.key,
-            p.payload,
-            p.hops,
-            p.issued_at_us,
-            excluded,
-            p.attempt + 1,
-            p.reroutes + 1,
-            true,
-            true,
-            fx,
-        );
+        self.reroute_around(p, missed, "", fx);
     }
 }
 

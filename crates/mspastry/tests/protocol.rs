@@ -7,9 +7,10 @@
 //! the full asynchronous behaviour is exercised by the simulator tests.
 
 use mspastry::config::MAX_PROBE_RETRIES;
+use mspastry::diag::DROP_REASON_COUNTERS;
 use mspastry::{
     Action, Config, Effects, Event, Id, LookupId, Message, Node, NodeId, TimerKind,
-    ROOT_RETX_ATTEMPTS,
+    JOIN_BUFFER_CAP, ROOT_RETX_ATTEMPTS,
 };
 use obs::Obs;
 
@@ -70,7 +71,7 @@ fn trio() -> (Vec<Node>, [NodeId; 3]) {
 }
 
 fn trio_with(cfg: Config) -> (Vec<Node>, [NodeId; 3]) {
-    trio_obs(cfg, Obs::disabled())
+    trio_obs(cfg, Obs::new(0.0, 1))
 }
 
 /// [`trio_with`], with every node counting into `obs`'s registry.
@@ -130,7 +131,7 @@ fn two_node_overlay_forms_and_routes() {
     let actions = pump(&mut nodes, sends, 11);
     let delivered = actions
         .iter()
-        .any(|act| matches!(act, Action::Deliver { key: k, payload: 7, .. } if *k == key));
+        .any(|act| matches!(act, Action::Deliver(d) if d.key == key && d.payload == 7));
     assert!(delivered, "lookup must be delivered at b; got {actions:?}");
 }
 
@@ -163,7 +164,7 @@ fn lookup_while_joining_is_buffered_and_flushed() {
     assert!(
         actions
             .iter()
-            .any(|act| matches!(act, Action::Deliver { .. } | Action::BecameActive)),
+            .any(|act| matches!(act, Action::Deliver(_) | Action::BecameActive)),
         "buffered lookup processed after activation"
     );
 }
@@ -281,7 +282,7 @@ fn ack_timeout_reroutes_after_retx_budget() {
                 },
                 ..
             }
-        ) || matches!(a, Action::Deliver { .. })
+        ) || matches!(a, Action::Deliver(_))
     });
     assert!(resolved, "lookup resolved after budget: {actions:?}");
 }
@@ -617,12 +618,10 @@ fn duplicate_lookups_are_acked_but_not_reprocessed() {
 
 #[test]
 fn join_buffer_overflow_reports_drops() {
-    let mut cfg2 = cfg();
-    cfg2.join_buffer_cap = 2;
     let run = Obs::new(0.0, 16);
-    let mut n = Node::with_obs(Id(5), cfg2, run.clone());
-    // Not joined yet: local lookups buffer; the third overflows.
-    for i in 0..3 {
+    let mut n = Node::with_obs(Id(5), cfg(), run.clone());
+    // Not joined yet: local lookups buffer; the one past the cap overflows.
+    for i in 0..=JOIN_BUFFER_CAP as u64 {
         step(
             &mut n,
             i,
@@ -634,11 +633,66 @@ fn join_buffer_overflow_reports_drops() {
     }
     let s = run.snapshot();
     assert_eq!(s.counter("lookup.drop.buffer-overflow"), 1);
-    let all_drops: u64 = mspastry::diag::DROP_REASON_COUNTERS
-        .iter()
-        .map(|c| s.counter(c))
-        .sum();
+    let all_drops: u64 = DROP_REASON_COUNTERS.iter().map(|c| s.counter(c)).sum();
     assert_eq!(all_drops, 1);
+}
+
+#[test]
+fn stranded_lookup_is_rerouted_when_its_next_hop_is_declared_dead() {
+    let run = Obs::new(0.0, 16);
+    let (mut nodes, ids) = trio_obs(cfg(), run.clone());
+    let b_id = ids[1];
+    let key = Id((200 << 100) + 1);
+    let id = step(&mut nodes[0], 100, Event::Lookup { key, payload: 9 })
+        .into_iter()
+        .find_map(|a| match a {
+            Action::Send {
+                to,
+                msg: Message::Lookup { id, .. },
+            } if to == b_id => Some(id),
+            _ => None,
+        })
+        .expect("lookup forwarded to the root b");
+    // The missed ack starts a probe of b and retransmits the lookup to b,
+    // where it stays pending.
+    let mut now = 1_000_000;
+    step(
+        &mut nodes[0],
+        now,
+        Event::Timer(TimerKind::AckTimeout {
+            lookup: id,
+            attempt: 0,
+        }),
+    );
+    // b never answers: its probe runs out of retries, and the lookup's next
+    // AckTimeout is never fired.
+    let mut last = Vec::new();
+    for attempt in 0..=MAX_PROBE_RETRIES {
+        now += 3_000_000;
+        last = step(
+            &mut nodes[0],
+            now,
+            Event::Timer(TimerKind::ProbeTimeout {
+                target: b_id,
+                attempt,
+            }),
+        );
+    }
+    assert!(!nodes[0].leaf_set().contains(b_id), "b declared dead");
+    let resent = last.iter().any(|a| {
+        matches!(
+            a,
+            Action::Send {
+                to,
+                msg: Message::Lookup { id: l, is_retransmit: true, .. },
+            } if *to != b_id && *l == id
+        )
+    });
+    assert!(resent, "stranded lookup re-sent past b at once: {last:?}");
+    let s = run.snapshot();
+    assert_eq!(s.counter("lookup.stranded-reroute"), 1);
+    let all_drops: u64 = DROP_REASON_COUNTERS.iter().map(|c| s.counter(c)).sum();
+    assert_eq!(all_drops, 0);
 }
 
 #[test]

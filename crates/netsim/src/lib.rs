@@ -20,7 +20,8 @@
 //! use netsim::{EventQueue, Network};
 //! use topology::{Topology, TopologyKind};
 //!
-//! let mut net = Network::new(Topology::build(TopologyKind::GaTechTiny), 7);
+//! let obs = obs::Obs::new(0.0, 1);
+//! let mut net = Network::new(Topology::build(TopologyKind::GaTechTiny), 7, obs);
 //! let a = net.add_endpoint();
 //! let b = net.add_endpoint();
 //!

@@ -31,9 +31,9 @@ pub struct Network {
 }
 
 impl Network {
-    /// Wraps a topology with no end hosts and no loss.
-    pub fn new(topo: Topology, seed: u64) -> Self {
-        let obs = Obs::disabled();
+    /// Wraps a topology with no end hosts and no loss; delivery and loss
+    /// counts go to `obs`'s registry.
+    pub fn new(topo: Topology, seed: u64, obs: Obs) -> Self {
         Network {
             topo,
             attach: Vec::new(),
@@ -45,14 +45,6 @@ impl Network {
             c_lost_blackout: obs.counter("net.lost.blackout"),
             obs,
         }
-    }
-
-    /// Routes the network's delivery/loss counters into a per-run registry.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.c_delivered = obs.counter("net.delivered");
-        self.c_lost_random = obs.counter("net.lost.random");
-        self.c_lost_blackout = obs.counter("net.lost.blackout");
-        self.obs = obs;
     }
 
     /// Sets the uniform message loss probability.
@@ -122,7 +114,11 @@ mod tests {
     use topology::TopologyKind;
 
     fn net() -> Network {
-        Network::new(Topology::build(TopologyKind::GaTechTiny), 1)
+        net_with(Obs::new(0.0, 1))
+    }
+
+    fn net_with(obs: Obs) -> Network {
+        Network::new(Topology::build(TopologyKind::GaTechTiny), 1, obs)
     }
 
     #[test]
@@ -188,9 +184,8 @@ mod tests {
 
     #[test]
     fn delivery_counters_reach_the_run_registry() {
-        let mut n = net();
         let run = Obs::new(0.0, 16);
-        n.set_obs(run.clone());
+        let mut n = net_with(run.clone());
         let a = n.add_endpoint();
         let b = n.add_endpoint();
         for _ in 0..10 {

@@ -20,9 +20,9 @@
 //! and [`prof`] accumulates the simulator's own per-event-kind dispatch
 //! counts and wall time (the run artifact's `"prof"` member).
 //!
-//! A disabled handle ([`Obs::disabled`]) is a `None` — every operation is a
-//! single branch, so instrumented code costs nothing in protocol unit tests
-//! and library embeddings.
+//! Every handle is live: a host that wants no artifact still counts into a
+//! registry of its own (one flat vector) and never samples a lookup, so
+//! instrumented code takes no branch on whether observability is on.
 
 pub mod hist;
 pub mod json;
@@ -52,127 +52,90 @@ struct Core {
 
 /// A cheap, cloneable handle to one run's observability state.
 ///
-/// The simulator is single-threaded; the handle is an `Rc`, and a disabled
-/// handle is a `None` so instrumentation is a single branch when off.
-#[derive(Debug, Clone, Default)]
-pub struct Obs {
-    inner: Option<Rc<Core>>,
-}
+/// The simulator is single-threaded; the handle is an `Rc`, and clones
+/// share one registry and flight recorder.
+#[derive(Debug, Clone)]
+pub struct Obs(Rc<Core>);
 
 impl Obs {
-    /// A no-op handle: every operation is a cheap branch.
-    pub fn disabled() -> Self {
-        Obs { inner: None }
-    }
-
-    /// Creates a live handle: a fresh registry plus a flight recorder
-    /// sampling `trace_sample_rate` of lookups into a ring of
-    /// `trace_capacity` events.
+    /// Creates a handle: a fresh registry plus a flight recorder sampling
+    /// `trace_sample_rate` of lookups into a ring of `trace_capacity`
+    /// events.
     pub fn new(trace_sample_rate: f64, trace_capacity: usize) -> Self {
         let recorder = FlightRecorder::new(trace_sample_rate, trace_capacity);
         let threshold = recorder.threshold();
-        Obs {
-            inner: Some(Rc::new(Core {
-                registry: Registry::new(),
-                recorder: RefCell::new(recorder),
-                threshold,
-            })),
-        }
+        Obs(Rc::new(Core {
+            registry: Registry::new(),
+            recorder: RefCell::new(recorder),
+            threshold,
+        }))
     }
 
-    /// Registers (or re-finds) a counter. Returns a dummy id when disabled.
+    /// Registers (or re-finds) a counter.
     pub fn counter(&self, name: &'static str) -> CounterId {
-        match &self.inner {
-            Some(c) => c.registry.counter(name),
-            None => CounterId(u32::MAX),
-        }
+        self.0.registry.counter(name)
     }
 
-    /// Registers (or re-finds) a histogram. Returns a dummy id when disabled.
+    /// Registers (or re-finds) a histogram.
     pub fn histogram(&self, name: &'static str) -> HistId {
-        match &self.inner {
-            Some(c) => c.registry.histogram(name),
-            None => HistId(u32::MAX),
-        }
+        self.0.registry.histogram(name)
     }
 
     /// Increments a counter.
     #[inline]
     pub fn inc(&self, id: CounterId) {
-        if let Some(c) = &self.inner {
-            c.registry.inc(id);
-        }
+        self.0.registry.inc(id);
     }
 
     /// Adds `n` to a counter.
     #[inline]
     pub fn add(&self, id: CounterId, n: u64) {
-        if let Some(c) = &self.inner {
-            c.registry.add(id, n);
-        }
+        self.0.registry.add(id, n);
     }
 
     /// Records a histogram sample.
     #[inline]
     pub fn record(&self, id: HistId, v: u64) {
-        if let Some(c) = &self.inner {
-            c.registry.record(id, v);
-        }
+        self.0.registry.record(id, v);
     }
 
     /// `true` if lookup `(src, seq)` is in the trace sample. `false` when
-    /// disabled or tracing is off — callers guard event construction on it.
+    /// tracing is off — callers guard event construction on it.
     #[inline]
     pub fn sampled(&self, src: u128, seq: u64) -> bool {
-        match &self.inner {
-            Some(c) => c.threshold != 0 && recorder::lookup_hash(src, seq) <= c.threshold,
-            None => false,
-        }
+        self.0.threshold != 0 && recorder::lookup_hash(src, seq) <= self.0.threshold
     }
 
     /// Records a hop event (call only after [`Self::sampled`] said yes; an
     /// unsampled event is recorded anyway — sampling is the caller's gate,
     /// not an invariant of the ring).
     pub fn hop(&self, ev: HopEvent) {
-        if let Some(c) = &self.inner {
-            c.recorder.borrow_mut().push(ev);
-        }
+        self.0.recorder.borrow_mut().push(ev);
     }
 
     /// Records a lookup drop: bumps the per-reason counter and traces the
     /// event if sampled.
     pub fn drop_event(&self, reason_counter: CounterId, ev: HopEvent) {
-        let Some(c) = &self.inner else {
-            return;
-        };
-        c.registry.inc(reason_counter);
-        if c.recorder.borrow().sampled(ev.src, ev.seq) {
-            c.recorder.borrow_mut().push(ev);
+        self.0.registry.inc(reason_counter);
+        if self.0.recorder.borrow().sampled(ev.src, ev.seq) {
+            self.0.recorder.borrow_mut().push(ev);
         }
     }
 
     /// Freezes all counters and histograms.
     pub fn snapshot(&self) -> Snapshot {
-        match &self.inner {
-            Some(c) => c.registry.snapshot(),
-            None => Snapshot::default(),
-        }
+        self.0.registry.snapshot()
     }
 
     /// Drains the flight recorder: events in recording order plus the count
     /// of events lost to ring overwrite. The recorder restarts empty.
     pub fn take_trace(&self) -> (Vec<HopEvent>, u64) {
-        match &self.inner {
-            Some(c) => {
-                let (rate, cap) = {
-                    let r = c.recorder.borrow();
-                    (r.sample_rate(), r.capacity())
-                };
-                let old = c.recorder.replace(FlightRecorder::new(rate, cap));
-                old.into_events()
-            }
-            None => (Vec::new(), 0),
-        }
+        let (rate, cap) = {
+            let r = self.0.recorder.borrow();
+            (r.sample_rate(), r.capacity())
+        };
+        let old = self.0.recorder.replace(FlightRecorder::new(rate, cap));
+        old.into_events()
     }
 }
 
@@ -247,20 +210,6 @@ pub fn snapshot_json(w: &mut JsonWriter, s: &Snapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_handle_is_inert() {
-        let o = Obs::disabled();
-        let c = o.counter("x");
-        let h = o.histogram("y");
-        o.inc(c);
-        o.add(c, 5);
-        o.record(h, 42);
-        assert!(!o.sampled(1, 2));
-        let s = o.snapshot();
-        assert!(s.counters.is_empty() && s.histograms.is_empty());
-        assert_eq!(o.take_trace().0.len(), 0);
-    }
 
     #[test]
     fn enabled_handle_collects_and_snapshots() {

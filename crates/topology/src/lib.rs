@@ -56,12 +56,6 @@ pub enum TopologyKind {
     CorpNet,
     /// Tiny CorpNet preset for unit tests.
     CorpNetTiny,
-    /// Custom transit-stub parameters.
-    CustomTransitStub(TransitStubParams),
-    /// Custom AS-graph parameters.
-    CustomAsGraph(AsGraphParams),
-    /// Custom CorpNet parameters.
-    CustomCorpNet(CorpNetParams),
 }
 
 /// A frozen topology: a delay matrix plus the set of routers end nodes may
@@ -96,9 +90,6 @@ impl Topology {
             }
             TopologyKind::CorpNet => Self::from_corpnet("CorpNet", &CorpNetParams::default()),
             TopologyKind::CorpNetTiny => Self::from_corpnet("CorpNet-tiny", &CorpNetParams::tiny()),
-            TopologyKind::CustomTransitStub(p) => Self::from_transit_stub("transit-stub", &p),
-            TopologyKind::CustomAsGraph(p) => Self::from_as_graph("as-graph", &p),
-            TopologyKind::CustomCorpNet(p) => Self::from_corpnet("corpnet", &p),
         }
     }
 

@@ -39,9 +39,7 @@ pub mod metrics;
 pub use envelope::Envelope;
 pub use metrics::{Health, MetricsServer, Published};
 
-use mspastry::{
-    Clock, Config, Driver, Event, Host, Key, Message, Node, NodeId, Payload, TimerKind, WallClock,
-};
+use mspastry::{Config, Driver, Event, Host, Key, Message, Node, NodeId, Payload, TimerKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -68,8 +66,8 @@ enum Cmd {
 }
 
 /// Live-telemetry options for a UDP node. The default (both fields `None`)
-/// disables telemetry entirely: the node runs with a disabled observability
-/// handle, exactly as before.
+/// serves and prints nothing: the node still counts into its own registry,
+/// which nothing reads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Telemetry {
     /// Serve `GET /metrics` (Prometheus exposition format) and
@@ -165,15 +163,11 @@ impl UdpNode {
                 // single-threaded by design), so it is created inside the
                 // node's own thread; only published `Snapshot` clones cross
                 // to the exporter.
-                let obs = if telemetry_on {
-                    obs::Obs::new(0.0, 1)
-                } else {
-                    obs::Obs::disabled()
-                };
+                let obs = obs::Obs::new(0.0, 1);
                 let telem = telemetry_on.then(|| Telem::new(shared, stat_interval));
                 let mut event_loop = EventLoop {
                     driver: Driver::new(Node::with_obs(id, cfg, obs.clone())),
-                    clock: WallClock::new(),
+                    epoch: Instant::now(),
                     cmd_rx,
                     buf: vec![0u8; 64 * 1024],
                     telem,
@@ -298,8 +292,8 @@ struct Io {
     addrs: HashMap<u128, SocketAddr>,
     delivery_tx: Sender<Delivery>,
     active: Arc<Active>,
-    /// Shared with the protocol node; disabled (a single branch per op)
-    /// unless telemetry was requested.
+    /// Shared with the protocol node; read only when telemetry was
+    /// requested.
     obs: obs::Obs,
     c_tx: obs::CounterId,
     c_bytes_tx: obs::CounterId,
@@ -392,7 +386,8 @@ impl Telem {
 
 struct EventLoop {
     driver: Driver,
-    clock: WallClock,
+    /// Zero of the node's clock: protocol time is microseconds since then.
+    epoch: Instant,
     cmd_rx: Receiver<Cmd>,
     buf: Vec<u8>,
     telem: Option<Telem>,
@@ -400,9 +395,14 @@ struct EventLoop {
 }
 
 impl EventLoop {
+    /// Microseconds since the loop's epoch, from the monotonic clock.
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
     /// Feeds one event through the shared driver at the current wall time.
     fn step(&mut self, event: Event) {
-        let now = self.clock.now_us();
+        let now = self.now_us();
         let mut host = UdpHost {
             now,
             io: &mut self.io,
@@ -434,7 +434,7 @@ impl EventLoop {
                 }
             }
             // Due timers.
-            let now = self.clock.now_us();
+            let now = self.now_us();
             while let Some(Reverse((at, _, _))) = self.io.timers.peek() {
                 if *at > now {
                     break;
