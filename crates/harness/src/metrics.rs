@@ -10,8 +10,9 @@
 //! Traffic and lookup outcomes are counted once, in the run's [`obs`]
 //! registry: `sent.*` per send, [`ACTIVE_NODE_US`] for node-time, and the
 //! `lookup.*` outcome metrics for the first delivery of each tracked
-//! lookup. [`Metrics::finalize`] derives the report's figures from
-//! registry snapshots taken at the window boundaries. [`Metrics`] itself
+//! lookup. [`Metrics::finalize`] reads the report's traffic figures from
+//! the run's time series, the [`TsWindow`] deltas between the registry
+//! snapshots taken at the window boundaries. [`Metrics`] itself
 //! keeps the lookup ledger (issued, delivered, lost, incorrect,
 //! duplicates), which needs the oracle's verdict and the lookup
 //! identities.
@@ -22,7 +23,7 @@ use mspastry::messages::{
     KIND_NAMES, SENT_BYTES_COUNTER, SENT_CATEGORY_COUNTERS, SENT_KIND_COUNTERS,
 };
 use mspastry::{Category, LookupId};
-use obs::{CounterId, HistId, Obs, Snapshot};
+use obs::{CounterId, HistId, Obs, Snapshot, TsWindow};
 use std::collections::VecDeque;
 
 pub use mspastry::messages::{CATEGORY_NAMES, N_CATEGORIES};
@@ -108,34 +109,10 @@ impl Outcomes {
     }
 }
 
-/// Registry deltas between two snapshots: one window's figures.
-#[derive(Debug)]
-struct Delta {
-    /// Messages sent per category, [`CATEGORY_NAMES`] order.
-    counts: [u64; N_CATEGORIES],
-    bytes: u64,
-    node_us: u64,
-    rdp_milli_sum: u64,
-    rdp_count: u64,
-}
-
-impl Delta {
-    fn between(from: &Snapshot, to: &Snapshot) -> Self {
-        let delta = |name: &str| to.counter(name) - from.counter(name);
-        let (from_sum, from_count) = sum_count(from, LOOKUP_RDP_MILLI);
-        let (to_sum, to_count) = sum_count(to, LOOKUP_RDP_MILLI);
-        Delta {
-            counts: SENT_CATEGORY_COUNTERS.map(delta),
-            bytes: delta(SENT_BYTES_COUNTER),
-            node_us: delta(ACTIVE_NODE_US),
-            rdp_milli_sum: to_sum.wrapping_sub(from_sum),
-            rdp_count: to_count - from_count,
-        }
-    }
-
-    fn control(&self) -> u64 {
-        self.counts[..5].iter().sum()
-    }
+/// The control messages among per-category counts ([`CATEGORY_NAMES`]
+/// order): the five control categories, everything but lookups.
+fn control(counts: &[u64; N_CATEGORIES]) -> u64 {
+    counts[..5].iter().sum()
 }
 
 /// `count / node_seconds`, or 0 when no node was active.
@@ -260,13 +237,14 @@ impl Metrics {
         self.join_latencies_us.push(latency_us);
     }
 
-    /// Closes the run at `end_us` and produces the report. `boundaries`
-    /// are the run's registry snapshots at each window boundary before
-    /// `end_us` (`measure_start_us + k·window_us`, each taken before any
-    /// event at that instant) and `last` the snapshot at the end: the
-    /// traffic figures and window RDPs are their deltas, and the lookup
-    /// outcome figures and `drop_reports` read `last`.
-    pub fn finalize(self, end_us: u64, boundaries: &[Snapshot], last: &Snapshot) -> Report {
+    /// Closes the run at `end_us` and produces the report. `series` is the
+    /// run's time series ([`TsWindow::series`] over the registry snapshots
+    /// at the window boundaries `measure_start_us + k·window_us` and the
+    /// end): the warm-up window first, then one window per report window.
+    /// The traffic figures and window RDPs are read from those windows,
+    /// and the lookup outcome figures and `drop_reports` from the
+    /// end-of-run snapshot `last`.
+    pub fn finalize(self, end_us: u64, series: &[TsWindow], last: &Snapshot) -> Report {
         let (mut lost, mut censored) = (0, 0);
         for p in self.ledger.values() {
             if p.delivered || !p.tracked {
@@ -278,23 +256,23 @@ impl Metrics {
                 censored += 1;
             }
         }
-        // No boundary reached: nothing was measured.
-        let base = boundaries.first().unwrap_or(last);
-        let total = Delta::between(base, last);
-        let ends = boundaries.iter().skip(1).chain(std::iter::once(last));
-        let node_seconds = total.node_us as f64 / 1e6;
-        let windows = boundaries
+        // Skip the warm-up window; with no window after it, no boundary was
+        // reached and nothing was measured.
+        let measured = series.get(1..).unwrap_or_default();
+        let total = |name: &str| measured.iter().map(|w| w.counter(name)).sum::<u64>();
+        let total_counts = SENT_CATEGORY_COUNTERS.map(total);
+        let node_seconds = total(ACTIVE_NODE_US) as f64 / 1e6;
+        let windows = measured
             .iter()
-            .zip(ends)
-            .enumerate()
-            .map(|(i, (from, to))| {
-                let d = Delta::between(from, to);
-                let ns = d.node_us as f64 / 1e6;
+            .map(|w| {
+                let counts = SENT_CATEGORY_COUNTERS.map(|name| w.counter(name));
+                let ns = w.counter(ACTIVE_NODE_US) as f64 / 1e6;
+                let (rdp_count, rdp_milli_sum) = w.histogram(LOOKUP_RDP_MILLI);
                 WindowReport {
-                    start_us: self.measure_start_us + i as u64 * self.window_us,
-                    rdp: milli_mean(d.rdp_milli_sum, d.rdp_count),
-                    control_per_node_per_sec: per_node_second(d.control(), ns),
-                    per_category_per_node_per_sec: d.counts.map(|c| per_node_second(c, ns)),
+                    start_us: w.start_us,
+                    rdp: milli_mean(rdp_milli_sum, rdp_count),
+                    control_per_node_per_sec: per_node_second(control(&counts), ns),
+                    per_category_per_node_per_sec: counts.map(|c| per_node_second(c, ns)),
                     mean_active_nodes: ns / (self.window_us as f64 / 1e6),
                 }
             })
@@ -302,7 +280,7 @@ impl Metrics {
         let mut fine_counts: Vec<(&'static str, u64)> = KIND_NAMES
             .iter()
             .zip(SENT_KIND_COUNTERS)
-            .map(|(&kind, name)| (kind, last.counter(name) - base.counter(name)))
+            .map(|(&kind, name)| (kind, total(name)))
             .filter(|&(_, n)| n > 0)
             .collect();
         fine_counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
@@ -327,10 +305,10 @@ impl Metrics {
             } else {
                 0.0
             },
-            control_msgs_per_node_per_sec: per_node_second(total.control(), node_seconds),
-            totals_per_node_per_sec: total.counts.map(|c| per_node_second(c, node_seconds)),
+            control_msgs_per_node_per_sec: per_node_second(control(&total_counts), node_seconds),
+            totals_per_node_per_sec: total_counts.map(|c| per_node_second(c, node_seconds)),
             node_seconds,
-            bytes_per_node_per_sec: per_node_second(total.bytes, node_seconds),
+            bytes_per_node_per_sec: per_node_second(total(SENT_BYTES_COUNTER), node_seconds),
             slow_deliveries: last.counter(LOOKUP_SLOW),
             join_latencies_us,
             windows,
@@ -445,6 +423,13 @@ mod tests {
         }
     }
 
+    /// Closes `m` at `end_us` over the series cut, as the runner cuts it,
+    /// from boundary snapshots `snaps` and the end-of-run snapshot `last`.
+    fn close(m: Metrics, end_us: u64, snaps: &[Snapshot], last: &Snapshot) -> Report {
+        let series = TsWindow::series(m.measure_start_us, m.window_us, end_us, snaps, last);
+        m.finalize(end_us, &series, last)
+    }
+
     /// The `sent.category.*` counter of `c`.
     fn sent(c: Category) -> &'static str {
         SENT_CATEGORY_COUNTERS[category_index(c)]
@@ -469,7 +454,7 @@ mod tests {
         let at_start = snap(&[(sent(Category::LeafSet), 1), ("sent.heartbeat", 1)]);
         let end = snap(&[(sent(Category::LeafSet), 2), ("sent.heartbeat", 2)]);
         let m = Metrics::new(1_000_000, 1_000_000, 60_000_000);
-        let r = m.finalize(2_000_000, std::slice::from_ref(&at_start), &end);
+        let r = close(m, 2_000_000, std::slice::from_ref(&at_start), &end);
         assert_eq!(r.windows.len(), 1);
         assert_eq!(r.windows[0].per_category_per_node_per_sec[1], 0.0); // no nodes
         assert_eq!(r.fine_counts, vec![("heartbeat", 1)]);
@@ -481,7 +466,8 @@ mod tests {
             s
         };
         let m = Metrics::new(1_000_000, 1_000_000, 60_000_000);
-        let r = m.finalize(
+        let r = close(
+            m,
             2_000_000,
             &[with_node(&at_start, 1_000_000)],
             &with_node(&end, 2_000_000),
@@ -495,7 +481,7 @@ mod tests {
         // 20 probes over 2 nodes * 10 s = 1 msg/s/node.
         let end = snap(&[(sent(Category::RtProbe), 20), (ACTIVE_NODE_US, 20_000_000)]);
         let m = Metrics::new(0, 10_000_000, 60_000_000);
-        let r = m.finalize(10_000_000, &[snap(&[])], &end);
+        let r = close(m, 10_000_000, &[snap(&[])], &end);
         assert!((r.control_msgs_per_node_per_sec - 1.0).abs() < 1e-9);
         assert!((r.totals_per_node_per_sec[category_index(Category::RtProbe)] - 1.0).abs() < 1e-9);
         assert_eq!(r.windows.len(), 1);
@@ -510,7 +496,7 @@ mod tests {
             (ACTIVE_NODE_US, 10_000_000),
         ]);
         let m = Metrics::new(0, 10_000_000, 60_000_000);
-        let r = m.finalize(10_000_000, &[snap(&[])], &end);
+        let r = close(m, 10_000_000, &[snap(&[])], &end);
         assert!((r.control_msgs_per_node_per_sec - 0.1).abs() < 1e-9);
         assert!(
             (r.bytes_per_node_per_sec - 8.7).abs() < 1e-9,
@@ -634,7 +620,12 @@ mod tests {
         assert!(m.on_delivered(1_500_000, lid(4), 0, true));
         outcomes.record(&obs, 1_500_000, 0, 3, 500_000);
         let snap = obs.snapshot();
-        let r = m.finalize(1_000_000, std::slice::from_ref(&Snapshot::default()), &snap);
+        let r = close(
+            m,
+            1_000_000,
+            std::slice::from_ref(&Snapshot::default()),
+            &snap,
+        );
         assert_eq!(r.delivered, 4);
         assert_eq!(r.duplicates, 1);
         assert_eq!(snap.histogram(LOOKUP_LATENCY_US).unwrap().count, 4);
@@ -673,7 +664,8 @@ mod tests {
         // window, 1.5 in the second.
         let m = Metrics::new(0, 1_000_000, 60_000_000);
         let boundaries = [snap(&[]), snap(&[(ACTIVE_NODE_US, 1_000_000)])];
-        let r = m.finalize(
+        let r = close(
+            m,
             2_000_000,
             &boundaries,
             &snap(&[(ACTIVE_NODE_US, 2_500_000)]),
@@ -693,7 +685,7 @@ mod tests {
             ("sent.bytes", 100),
         ]);
         let m = Metrics::new(0, 1_000_000, 60_000_000);
-        let r = m.finalize(1_000_000, &[base], &end);
+        let r = close(m, 1_000_000, &[base], &end);
         assert_eq!(
             r.fine_counts,
             vec![("heartbeat", 3), ("ack", 2), ("leaving", 2)]
@@ -708,7 +700,7 @@ mod tests {
             ("lookup.reroutes", 9),
         ]);
         let m = Metrics::new(0, 1_000_000, 60_000_000);
-        let r = m.finalize(1_000_000, std::slice::from_ref(&end), &end);
+        let r = close(m, 1_000_000, std::slice::from_ref(&end), &end);
         assert_eq!(r.drop_reports, 3);
     }
 }

@@ -180,8 +180,6 @@ pub struct RunResult {
     pub ring_defects: u64,
     /// Application deliveries (only if `record_deliveries`).
     pub deliveries: Vec<DeliveryRecord>,
-    /// `(session, activation time)` pairs, in activation order.
-    pub activations: Vec<(usize, u64)>,
     /// Fraction of routing-table entries with no measured distance at the
     /// end of the run (PNS health diagnostic).
     pub rt_unknown_fraction: f64,
@@ -266,7 +264,6 @@ struct World {
     scripted: Vec<ScriptedLookup>,
     skipped_scripted: u64,
     deliveries: Vec<DeliveryRecord>,
-    activations: Vec<(usize, u64)>,
     end_us: u64,
     sim_events: u64,
     /// `overlay.active_node_us`: `active_list.len()` integrated over time.
@@ -409,7 +406,6 @@ impl Runner {
                 scripted,
                 skipped_scripted: 0,
                 deliveries: Vec::new(),
-                activations: Vec::new(),
                 end_us,
                 sim_events: 0,
                 active_node_us,
@@ -544,9 +540,14 @@ impl Runner {
                 }
             }
         }
-        let snaps = std::mem::take(&mut w.window_snaps);
-        let report = w.metrics.finalize(w.end_us, &snaps, &diag);
-        let timeseries = window_series(&w.cfg, w.end_us, snaps, &diag);
+        let timeseries = TsWindow::series(
+            w.cfg.warmup_us,
+            w.cfg.metrics_window_us,
+            w.end_us,
+            &std::mem::take(&mut w.window_snaps),
+            &diag,
+        );
+        let report = w.metrics.finalize(w.end_us, &timeseries, &diag);
         let (trace_events, trace_overwritten) = w.obs.take_trace();
         RunResult {
             report,
@@ -567,7 +568,6 @@ impl Runner {
             skipped_scripted: w.skipped_scripted,
             ring_defects,
             deliveries: std::mem::take(&mut w.deliveries),
-            activations: std::mem::take(&mut w.activations),
             rt_unknown_fraction: if rt_total > 0 {
                 rt_unknown as f64 / rt_total as f64
             } else {
@@ -822,7 +822,6 @@ impl World {
             self.integrate_active(now);
             self.active_pos[ep] = self.active_list.len() as u32;
             self.active_list.push(ep);
-            self.activations.push((self.session_of_ep[ep], now));
             let start = std::mem::replace(&mut self.join_started[ep], NO_JOIN);
             if start != NO_JOIN && now >= self.cfg.warmup_us {
                 self.metrics.on_join_latency(now - start);
@@ -857,29 +856,6 @@ impl World {
                 .schedule_in(delay, Ev::Msg { from, to: dst, msg });
         }
     }
-}
-
-/// Cuts a run's time series from its window-boundary snapshots `snaps`
-/// and its end-of-run snapshot `last`: the warm-up window, then one per
-/// metrics window.
-fn window_series(
-    cfg: &RunConfig,
-    end_us: u64,
-    snaps: Vec<Snapshot>,
-    last: &Snapshot,
-) -> Vec<TsWindow> {
-    let boundaries = (0..).map(|k| cfg.warmup_us + k * cfg.metrics_window_us);
-    let mut prev = (0, Snapshot::default());
-    let mut series: Vec<TsWindow> = boundaries
-        .zip(snaps)
-        .map(|(t, snap)| {
-            let w = TsWindow::between(prev.0, t, &prev.1, &snap);
-            prev = (t, snap);
-            w
-        })
-        .collect();
-    series.push(TsWindow::between(prev.0, end_us, &prev.1, last));
-    series
 }
 
 /// Exponential inter-arrival sample for a Poisson process, microseconds.

@@ -4,7 +4,7 @@ use harness::metrics::{Metrics, ACTIVE_NODE_US};
 use harness::Oracle;
 use mspastry::messages::SENT_CATEGORY_COUNTERS;
 use mspastry::{Id, LookupId};
-use obs::Snapshot;
+use obs::{Snapshot, TsWindow};
 use proptest::prelude::*;
 
 fn arb_id() -> impl Strategy<Value = Id> {
@@ -82,7 +82,9 @@ proptest! {
         };
         let boundaries: Vec<Snapshot> = (0..10).map(|k| at(k * 1_000_000)).collect();
         let m = Metrics::new(0, 1_000_000, 10_000_000);
-        let r = m.finalize(10_000_000, &boundaries, &at(10_000_000));
+        let last = at(10_000_000);
+        let series = TsWindow::series(0, 1_000_000, 10_000_000, &boundaries, &last);
+        let r = m.finalize(10_000_000, &series, &last);
         prop_assert_eq!(r.windows.len(), 10);
         // Per-window per-category rates times window node-seconds must sum to
         // the whole-run totals.
@@ -119,7 +121,9 @@ proptest! {
         };
         let boundaries: Vec<Snapshot> = (0..10).map(|k| snap(k * 1_000_000)).collect();
         let m = Metrics::new(0, 1_000_000, 10_000_000);
-        let r = m.finalize(10_000_000, &boundaries, &snap(10_000_000));
+        let last = snap(10_000_000);
+        let series = TsWindow::series(0, 1_000_000, 10_000_000, &boundaries, &last);
+        let r = m.finalize(10_000_000, &series, &last);
         let mut active = 0i64;
         let mut last = 0u64;
         let mut expected = 0.0f64;

@@ -258,19 +258,9 @@ impl Node {
             return;
         }
         // Bootstrap the routing state (Fig. 2: Ri.add(R ∪ L); Li.add(L)).
-        let nn_dists: FxHashMap<NodeId, u64> = self
-            .measurement
-            .nn
-            .as_ref()
-            .map(|nn| nn.measured().clone())
-            .unwrap_or_default();
         for row in &rows {
             for &n in row {
-                let d = nn_dists
-                    .get(&n)
-                    .copied()
-                    .unwrap_or_else(|| self.measurement.known_dist(n));
-                self.rt.offer(n, d);
+                self.rt.offer(n, self.measurement.known_dist(n));
             }
         }
         for &n in &leaf_set {

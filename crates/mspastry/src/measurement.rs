@@ -220,7 +220,7 @@ impl Node {
         let Some(nn) = self.measurement.nn.as_mut() else {
             return;
         };
-        let step = nn.on_distance(target, dist, usize::MAX);
+        let step = nn.on_distance(target, dist);
         self.nn_execute(step, fx);
     }
 

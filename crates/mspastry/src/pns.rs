@@ -263,14 +263,14 @@ impl NnState {
             self.awaiting.insert(n);
         }
         if fresh.is_empty() {
-            self.evaluate(usize::MAX)
+            self.evaluate()
         } else {
             NnStep::Measure(fresh)
         }
     }
 
     /// Feeds a finished (or abandoned) distance measurement.
-    pub fn on_distance(&mut self, target: NodeId, dist_us: u64, deepest_row_hint: usize) -> NnStep {
+    pub fn on_distance(&mut self, target: NodeId, dist_us: u64) -> NnStep {
         self.awaiting.remove(&target);
         if dist_us != u64::MAX {
             self.dists.insert(target, dist_us);
@@ -279,7 +279,7 @@ impl NnState {
             self.current_dist = self.current_dist.min(dist_us);
         }
         if self.awaiting.is_empty() {
-            self.evaluate(deepest_row_hint)
+            self.evaluate()
         } else {
             NnStep::Wait
         }
@@ -290,7 +290,7 @@ impl NnState {
         self.phase = NnPhase::Rows(row);
     }
 
-    fn evaluate(&mut self, _deepest_row_hint: usize) -> NnStep {
+    fn evaluate(&mut self) -> NnStep {
         // Find the closest measured candidate.
         let best = self
             .dists
@@ -434,9 +434,9 @@ mod tests {
         // Seed's leaf set: nodes 2 and 3.
         let step = nn.on_candidates(own, &[Id(2), Id(3)]);
         assert_eq!(step, NnStep::Measure(vec![Id(2), Id(3)]));
-        assert_eq!(nn.on_distance(Id(2), 500, usize::MAX), NnStep::Wait);
+        assert_eq!(nn.on_distance(Id(2), 500), NnStep::Wait);
         // Node 3 is closest: move there and ask for its leaf set.
-        let step = nn.on_distance(Id(3), 100, usize::MAX);
+        let step = nn.on_distance(Id(3), 100);
         assert_eq!(step, NnStep::AskLeafSet(Id(3)));
         assert_eq!(nn.current(), Id(3));
     }
@@ -446,7 +446,7 @@ mod tests {
         let own = Id(99);
         let mut nn = NnState::new(Id(1));
         let _ = nn.on_candidates(own, &[Id(2)]);
-        let _ = nn.on_distance(Id(2), 100, usize::MAX);
+        let _ = nn.on_distance(Id(2), 100);
         // Id(2)'s leaf set has nothing new and nothing closer.
         let step = nn.on_candidates(own, &[Id(2)]);
         assert_eq!(step, NnStep::AskRow(Id(2), usize::MAX));
@@ -454,7 +454,7 @@ mod tests {
         // Row 1 brings a closer node 5.
         let step = nn.on_candidates(own, &[Id(5)]);
         assert_eq!(step, NnStep::Measure(vec![Id(5)]));
-        let step = nn.on_distance(Id(5), 10, 1);
+        let step = nn.on_distance(Id(5), 10);
         assert_eq!(step, NnStep::AskRow(Id(5), 0));
         nn.note_row(0);
         let step = nn.on_candidates(own, &[]);
@@ -465,7 +465,7 @@ mod tests {
     fn nn_records_measured_distances() {
         let mut nn = NnState::new(Id(1));
         let _ = nn.on_candidates(Id(99), &[Id(2)]);
-        let _ = nn.on_distance(Id(2), 123, usize::MAX);
+        let _ = nn.on_distance(Id(2), 123);
         assert_eq!(nn.measured().get(&Id(2)), Some(&123));
     }
 }

@@ -6,6 +6,8 @@
 //! 12.5 % while keeping the whole table a flat 500-slot array — recording is
 //! a couple of shifts, no allocation, no floating point.
 
+use crate::merge_sorted;
+
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per octave.
 const SUB_BITS: u32 = 3;
 const SUB: u64 = 1 << SUB_BITS;
@@ -81,166 +83,26 @@ impl Histogram {
         }
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded samples (wrapping).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded sample (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample (`None` when empty).
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as a bucket lower bound, clamped to the
-    /// exactly-tracked `[min, max]` range. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the sample the quantile falls on (nearest-rank).
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(bucket_lower_bound(i).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower_bound(i), c))
-            .collect()
-    }
-
     /// Freezes the histogram into a serialisable snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
+        let mut s = HistSnapshot {
             count: self.count,
             sum: self.sum,
-            min: self.min(),
-            max: self.max(),
-            p50: self.quantile(0.5),
-            p90: self.quantile(0.9),
-            p99: self.quantile(0.99),
-            buckets: self.nonzero_buckets(),
-        }
-    }
-}
-
-impl HistSnapshot {
-    /// Nearest-rank `q`-quantile recomputed from the snapshot's buckets,
-    /// clamped to the exact `[min, max]` range (mirrors
-    /// [`Histogram::quantile`]).
-    fn quantile_from_buckets(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let (min, max) = (self.min?, self.max?);
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for &(lb, c) in &self.buckets {
-            seen += c;
-            if seen >= target {
-                return Some(lb.clamp(min, max));
-            }
-        }
-        Some(max)
-    }
-
-    /// Folds another snapshot into this one, as if every sample behind both
-    /// had been recorded into a single [`Histogram`]: bucket counts are
-    /// merged by lower bound and the quantiles are recomputed from the
-    /// merged buckets. Used by the sweep executor to aggregate one metric
-    /// across the runs of a multi-seed sweep.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        // Merge-join the two ascending bucket lists.
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(la, ca)), Some(&&(lb, cb))) => {
-                    if la < lb {
-                        merged.push((la, ca));
-                        a.next();
-                    } else if lb < la {
-                        merged.push((lb, cb));
-                        b.next();
-                    } else {
-                        merged.push((la, ca + cb));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = match (self.min, other.min) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
+            min: (self.count > 0).then_some(self.min),
+            max: (self.count > 0).then_some(self.max),
+            p50: None,
+            p90: None,
+            p99: None,
+            buckets: self
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (bucket_lower_bound(i), c))
+                .collect(),
         };
-        self.max = match (self.max, other.max) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, y) => x.or(y),
-        };
-        self.p50 = self.quantile_from_buckets(0.5);
-        self.p90 = self.quantile_from_buckets(0.9);
-        self.p99 = self.quantile_from_buckets(0.99);
+        s.set_quantiles();
+        s
     }
 }
 
@@ -263,6 +125,49 @@ pub struct HistSnapshot {
     pub p99: Option<u64>,
     /// Non-empty `(lower_bound, count)` buckets, ascending.
     pub buckets: Vec<(u64, u64)>,
+}
+
+impl HistSnapshot {
+    /// The nearest-rank `q`-quantile (`0.0..=1.0`) of the buckets: the lower
+    /// bound of the bucket holding sample `max(1, ceil(q·count))`, clamped
+    /// to the exact `[min, max]` range. `None` when empty.
+    fn quantile(&self, q: f64) -> Option<u64> {
+        let (min, max) = (self.min?, self.max?);
+        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for &(lb, c) in &self.buckets {
+            seen += c;
+            if seen >= target {
+                return Some(lb.clamp(min, max));
+            }
+        }
+        Some(max)
+    }
+
+    fn set_quantiles(&mut self) {
+        self.p50 = self.quantile(0.5);
+        self.p90 = self.quantile(0.9);
+        self.p99 = self.quantile(0.99);
+    }
+
+    /// Folds another snapshot into this one, as if every sample behind both
+    /// had been recorded into a single [`Histogram`]: bucket counts are
+    /// merged by lower bound and the quantiles are recomputed from the
+    /// merged buckets. Used by the sweep executor to aggregate one metric
+    /// across the runs of a multi-seed sweep.
+    pub fn merge(&mut self, other: &HistSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        let buckets = std::mem::take(&mut self.buckets);
+        self.buckets = merge_sorted(buckets, &other.buckets, |a, b| *a += b);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        // `None` orders below `Some`: an empty side must not win the min.
+        self.min = self.min.min(other.min).or(other.min);
+        self.max = self.max.max(other.max);
+        self.set_quantiles();
+    }
 }
 
 #[cfg(test)]
@@ -319,13 +224,13 @@ mod tests {
 
     #[test]
     fn empty_histogram() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
+        let s = Histogram::new().snapshot();
+        assert_eq!(s.count, 0);
+        assert_eq!(s.min, None);
+        assert_eq!(s.max, None);
+        assert_eq!(s.quantile(0.5), None);
+        assert_eq!((s.p50, s.p90, s.p99), (None, None, None));
+        assert!(s.buckets.is_empty());
     }
 
     #[test]
@@ -334,17 +239,18 @@ mod tests {
         for v in 1..=1000 {
             h.record(v);
         }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(1000));
-        let p50 = h.quantile(0.5).unwrap();
+        let s = h.snapshot();
+        assert_eq!(s.count, 1000);
+        assert_eq!(s.min, Some(1));
+        assert_eq!(s.max, Some(1000));
+        let p50 = s.p50.unwrap();
         assert!((450..=560).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
+        let p99 = s.p99.unwrap();
         assert!((875..=1000).contains(&p99), "p99 {p99}");
-        assert_eq!(h.quantile(0.0), Some(1));
+        assert_eq!(s.quantile(0.0), Some(1));
         assert_eq!(
-            h.quantile(1.0),
-            Some(h.quantile(1.0).unwrap().clamp(1, 1000))
+            s.quantile(1.0),
+            Some(s.quantile(1.0).unwrap().clamp(1, 1000))
         );
     }
 
@@ -352,9 +258,11 @@ mod tests {
     fn single_sample_quantiles_are_exact() {
         let mut h = Histogram::new();
         h.record(777);
+        let s = h.snapshot();
         for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(777));
+            assert_eq!(s.quantile(q), Some(777));
         }
+        assert_eq!((s.p50, s.p90, s.p99), (Some(777), Some(777), Some(777)));
     }
 
     #[test]
@@ -371,42 +279,9 @@ mod tests {
             }
             all.record(x);
         }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.sum(), all.sum());
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        assert_eq!(a.nonzero_buckets(), all.nonzero_buckets());
-        assert_eq!(a.quantile(0.9), all.quantile(0.9));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Histogram::new();
-        a.record(42);
-        let before = a.snapshot();
-        a.merge(&Histogram::new());
-        assert_eq!(a.snapshot(), before);
-        let mut e = Histogram::new();
-        e.merge(&a);
-        assert_eq!(e.snapshot(), before);
-    }
-
-    #[test]
-    fn snapshot_merge_matches_histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in 0..400u64 {
-            if v % 3 == 0 {
-                a.record(v * 17 % 5011);
-            } else {
-                b.record(v * 29 % 7919);
-            }
-        }
-        let mut merged_snap = a.snapshot();
-        merged_snap.merge(&b.snapshot());
-        a.merge(&b);
-        assert_eq!(merged_snap, a.snapshot());
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, all.snapshot());
     }
 
     #[test]
@@ -420,14 +295,5 @@ mod tests {
         let mut e = Histogram::new().snapshot();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn mean_is_exact() {
-        let mut h = Histogram::new();
-        for v in [10, 20, 30] {
-            h.record(v);
-        }
-        assert!((h.mean() - 20.0).abs() < 1e-12);
     }
 }

@@ -6,17 +6,22 @@
 //!
 //! * a [`registry::Registry`] of named counters and log-bucketed
 //!   [`hist::Histogram`]s — per *run*, not per process, so parallel tests
-//!   and repeated runs cannot cross-contaminate;
+//!   and repeated runs cannot cross-contaminate. A snapshot lists each
+//!   histogram's non-empty buckets and reads its percentiles off that list
+//!   (the one quantile walk), and snapshots of several runs fold together
+//!   through one sorted merge ([`Snapshot::merge`]);
 //! * a [`recorder::FlightRecorder`] — a bounded ring buffer of per-lookup
-//!   hop events ([`HopEvent`]), sampled by a deterministic hash of the
-//!   lookup identity so the complete path of a sampled lookup (every
-//!   forward, ack, retransmission, exclusion and drop, with timestamps and
-//!   RTO state) can be reconstructed from the dump;
+//!   hop events ([`HopEvent`]). Which lookups it keeps is decided once, by
+//!   [`Obs::sampled`]: a deterministic hash of the lookup identity, so the
+//!   complete path of a sampled lookup (every forward, ack,
+//!   retransmission, exclusion and drop, with timestamps and RTO state)
+//!   can be reconstructed from the dump;
 //! * a hand-rolled [`json`] writer for machine-readable artifacts (the
 //!   build environment is offline; no serde).
 //!
 //! Two live-telemetry layers sit on top: [`timeseries`] cuts per-window
-//! metric *deltas* from registry snapshots (the `mspastry-ts/1` artifact),
+//! metric *deltas* from registry snapshots (the `mspastry-ts/1` artifact,
+//! and the windows the simulator's report is computed from),
 //! and [`prof`] accumulates the simulator's own per-event-kind dispatch
 //! counts and wall time (the run artifact's `"prof"` member).
 //!
@@ -45,28 +50,32 @@ use std::rc::Rc;
 struct Core {
     registry: Registry,
     recorder: RefCell<FlightRecorder>,
-    /// Copy of the recorder's sampling threshold, readable without a
-    /// `RefCell` borrow: the sampled-check runs on every forwarded lookup.
+    /// A lookup is traced iff `lookup_hash(src, seq) <= threshold`; 0 turns
+    /// tracing off.
     threshold: u64,
 }
 
 /// A cheap, cloneable handle to one run's observability state.
 ///
 /// The simulator is single-threaded; the handle is an `Rc`, and clones
-/// share one registry and flight recorder.
+/// share one registry, flight recorder and sampling threshold.
 #[derive(Debug, Clone)]
 pub struct Obs(Rc<Core>);
 
 impl Obs {
-    /// Creates a handle: a fresh registry plus a flight recorder sampling
-    /// `trace_sample_rate` of lookups into a ring of `trace_capacity`
-    /// events.
+    /// Creates a handle: a fresh registry, a flight recorder of
+    /// `trace_capacity` events, and a trace sample of `trace_sample_rate`
+    /// (0.0..=1.0, clamped) of all lookups.
     pub fn new(trace_sample_rate: f64, trace_capacity: usize) -> Self {
-        let recorder = FlightRecorder::new(trace_sample_rate, trace_capacity);
-        let threshold = recorder.threshold();
+        let rate = trace_sample_rate.clamp(0.0, 1.0);
+        let threshold = if rate >= 1.0 {
+            u64::MAX
+        } else {
+            (rate * u64::MAX as f64) as u64
+        };
         Obs(Rc::new(Core {
             registry: Registry::new(),
-            recorder: RefCell::new(recorder),
+            recorder: RefCell::new(FlightRecorder::new(trace_capacity)),
             threshold,
         }))
     }
@@ -100,7 +109,8 @@ impl Obs {
     }
 
     /// `true` if lookup `(src, seq)` is in the trace sample. `false` when
-    /// tracing is off — callers guard event construction on it.
+    /// tracing is off — callers guard event construction on it. The one
+    /// sampling check: hops and drops alike pass through it.
     #[inline]
     pub fn sampled(&self, src: u128, seq: u64) -> bool {
         self.0.threshold != 0 && recorder::lookup_hash(src, seq) <= self.0.threshold
@@ -117,8 +127,8 @@ impl Obs {
     /// event if sampled.
     pub fn drop_event(&self, reason_counter: CounterId, ev: HopEvent) {
         self.0.registry.inc(reason_counter);
-        if self.0.recorder.borrow().sampled(ev.src, ev.seq) {
-            self.0.recorder.borrow_mut().push(ev);
+        if self.sampled(ev.src, ev.seq) {
+            self.hop(ev);
         }
     }
 
@@ -130,13 +140,33 @@ impl Obs {
     /// Drains the flight recorder: events in recording order plus the count
     /// of events lost to ring overwrite. The recorder restarts empty.
     pub fn take_trace(&self) -> (Vec<HopEvent>, u64) {
-        let (rate, cap) = {
-            let r = self.0.recorder.borrow();
-            (r.sample_rate(), r.capacity())
-        };
-        let old = self.0.recorder.replace(FlightRecorder::new(rate, cap));
-        old.into_events()
+        self.0.recorder.borrow_mut().take()
     }
+}
+
+/// Merge-joins two key-sorted `(key, value)` lists into one key-sorted
+/// list. A key present in both keeps one entry, `b`'s value folded into
+/// `a`'s by `combine`; every other entry carries over unchanged. The one
+/// merge behind [`Snapshot::merge`] (counters and histograms by name) and
+/// [`HistSnapshot::merge`] (buckets by lower bound).
+pub(crate) fn merge_sorted<K: Ord + Clone, V: Clone>(
+    a: Vec<(K, V)>,
+    b: &[(K, V)],
+    combine: impl Fn(&mut V, &V),
+) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.iter().peekable();
+    for (k, mut v) in a {
+        while let Some(e) = b.next_if(|(kb, _)| *kb < k) {
+            out.push(e.clone());
+        }
+        if let Some((_, vb)) = b.next_if(|(kb, _)| *kb == k) {
+            combine(&mut v, vb);
+        }
+        out.push((k, v));
+    }
+    out.extend(b.cloned());
+    out
 }
 
 /// Serialises hop events as JSONL (one JSON object per line), in order.

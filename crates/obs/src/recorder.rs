@@ -1,9 +1,10 @@
 //! The flight recorder: a bounded ring buffer of per-lookup hop events.
 //!
-//! Lookups are sampled by a deterministic hash of their identity, so every
-//! node along a sampled lookup's path records its hops — the whole route can
-//! be reconstructed from the dump — and repeated runs of the same seed
-//! produce bit-identical event streams. When the ring fills, the oldest
+//! Lookups are sampled ([`crate::Obs::sampled`]) by a deterministic hash of
+//! their identity ([`lookup_hash`]), so every node along a sampled lookup's
+//! path records its hops — the whole route can be reconstructed from the
+//! dump — and repeated runs of the same seed produce bit-identical event
+//! streams. When the ring fills, the oldest
 //! events are overwritten (and counted), never the newest: a post-mortem
 //! wants the events closest to the end of the run.
 
@@ -87,7 +88,8 @@ pub fn lookup_hash(src: u128, seq: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A bounded ring buffer of [`HopEvent`]s with deterministic sampling.
+/// A bounded ring buffer of [`HopEvent`]s. It keeps whatever it is given;
+/// the sampling decision is [`crate::Obs::sampled`].
 #[derive(Debug)]
 pub struct FlightRecorder {
     buf: Vec<HopEvent>,
@@ -95,43 +97,20 @@ pub struct FlightRecorder {
     /// Next write position once the ring is full.
     next: usize,
     overwritten: u64,
-    /// Sample iff `lookup_hash(id) <= threshold`; 0 disables tracing.
-    threshold: u64,
-    sample_rate: f64,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder sampling `sample_rate` (0.0..=1.0) of lookups,
-    /// keeping at most `capacity` events.
-    pub fn new(sample_rate: f64, capacity: usize) -> Self {
-        let rate = sample_rate.clamp(0.0, 1.0);
-        let threshold = if rate >= 1.0 {
-            u64::MAX
-        } else {
-            (rate * u64::MAX as f64) as u64
-        };
+    /// Creates a recorder keeping at most `capacity` events.
+    pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             buf: Vec::new(),
             cap: capacity.max(1),
             next: 0,
             overwritten: 0,
-            threshold,
-            sample_rate: rate,
         }
     }
 
-    /// The configured sampling rate.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
-    /// `true` if the lookup `(src, seq)` is in the sample.
-    #[inline]
-    pub fn sampled(&self, src: u128, seq: u64) -> bool {
-        self.threshold != 0 && lookup_hash(src, seq) <= self.threshold
-    }
-
-    /// Records an event (caller has already checked [`Self::sampled`]).
+    /// Records an event, overwriting the oldest one when the ring is full.
     pub fn push(&mut self, ev: HopEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
@@ -142,42 +121,20 @@ impl FlightRecorder {
         }
     }
 
-    /// Events lost to ring overwrite.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
-    }
-
-    /// The configured ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The raw sampling threshold (0 = tracing off).
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consumes the recorder, returning the retained events in recording
-    /// order (oldest first) and the overwritten-event count.
-    pub fn into_events(mut self) -> (Vec<HopEvent>, u64) {
-        self.buf.rotate_left(self.next);
-        (self.buf, self.overwritten)
+    /// Drains the ring: the retained events in recording order (oldest
+    /// first) and the count of events lost to overwrite. The ring restarts
+    /// empty, with the same capacity.
+    pub fn take(&mut self) -> (Vec<HopEvent>, u64) {
+        let mut events = std::mem::take(&mut self.buf);
+        events.rotate_left(std::mem::take(&mut self.next));
+        (events, std::mem::take(&mut self.overwritten))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Obs;
 
     fn ev(at: u64, seq: u64) -> HopEvent {
         HopEvent {
@@ -196,8 +153,8 @@ mod tests {
 
     #[test]
     fn zero_rate_samples_nothing_full_rate_everything() {
-        let off = FlightRecorder::new(0.0, 8);
-        let on = FlightRecorder::new(1.0, 8);
+        let off = Obs::new(0.0, 8);
+        let on = Obs::new(1.0, 8);
         for seq in 0..1000 {
             assert!(!off.sampled(99, seq));
             assert!(on.sampled(99, seq));
@@ -206,10 +163,10 @@ mod tests {
 
     #[test]
     fn sampling_rate_is_approximate_and_deterministic() {
-        let r = FlightRecorder::new(0.1, 8);
+        let r = Obs::new(0.1, 8);
         let hits = (0..100_000).filter(|&s| r.sampled(1234, s)).count();
         assert!((8_000..12_000).contains(&hits), "hits {hits}");
-        let r2 = FlightRecorder::new(0.1, 8);
+        let r2 = Obs::new(0.1, 8);
         for s in 0..1000 {
             assert_eq!(r.sampled(1234, s), r2.sampled(1234, s));
         }
@@ -217,24 +174,31 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_keeps_order() {
-        let mut r = FlightRecorder::new(1.0, 4);
+        let mut r = FlightRecorder::new(4);
         for i in 0..7 {
             r.push(ev(i, i));
         }
-        let (events, dropped) = r.into_events();
+        let (events, dropped) = r.take();
         assert_eq!(dropped, 3);
         let ats: Vec<u64> = events.iter().map(|e| e.at_us).collect();
         assert_eq!(ats, vec![3, 4, 5, 6]);
+        // The drained ring restarts empty and keeps its capacity.
+        for i in 7..12 {
+            r.push(ev(i, i));
+        }
+        let (events, dropped) = r.take();
+        assert_eq!(dropped, 1);
+        let ats: Vec<u64> = events.iter().map(|e| e.at_us).collect();
+        assert_eq!(ats, vec![8, 9, 10, 11]);
     }
 
     #[test]
     fn under_capacity_keeps_everything() {
-        let mut r = FlightRecorder::new(1.0, 16);
+        let mut r = FlightRecorder::new(16);
         for i in 0..5 {
             r.push(ev(i, i));
         }
-        assert_eq!(r.len(), 5);
-        let (events, dropped) = r.into_events();
+        let (events, dropped) = r.take();
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 5);
         assert_eq!(events[0].at_us, 0);

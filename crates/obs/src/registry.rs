@@ -6,6 +6,7 @@
 //! construction), so the hot path is an index into a flat vector.
 
 use crate::hist::{HistSnapshot, Histogram};
+use crate::merge_sorted;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -142,58 +143,10 @@ impl Snapshot {
     /// sorted, so merging is deterministic regardless of which runs of a
     /// sweep registered which metrics.
     pub fn merge(&mut self, other: &Snapshot) {
-        let mut counters = Vec::with_capacity(self.counters.len().max(other.counters.len()));
-        let (mut a, mut b) = (
-            self.counters.drain(..).peekable(),
-            other.counters.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((na, _)), Some((nb, _))) => {
-                    if na < nb {
-                        counters.push(a.next().unwrap());
-                    } else if nb < na {
-                        counters.push(b.next().unwrap().clone());
-                    } else {
-                        let (name, va) = a.next().unwrap();
-                        let (_, vb) = b.next().unwrap();
-                        counters.push((name, va + vb));
-                    }
-                }
-                (Some(_), None) => counters.push(a.next().unwrap()),
-                (None, Some(_)) => counters.push(b.next().unwrap().clone()),
-                (None, None) => break,
-            }
-        }
-        drop(a);
-        self.counters = counters;
-
-        let mut hists = Vec::with_capacity(self.histograms.len().max(other.histograms.len()));
-        let (mut a, mut b) = (
-            self.histograms.drain(..).peekable(),
-            other.histograms.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((na, _)), Some((nb, _))) => {
-                    if na < nb {
-                        hists.push(a.next().unwrap());
-                    } else if nb < na {
-                        hists.push(b.next().unwrap().clone());
-                    } else {
-                        let (name, mut ha) = a.next().unwrap();
-                        let (_, hb) = b.next().unwrap();
-                        ha.merge(hb);
-                        hists.push((name, ha));
-                    }
-                }
-                (Some(_), None) => hists.push(a.next().unwrap()),
-                (None, Some(_)) => hists.push(b.next().unwrap().clone()),
-                (None, None) => break,
-            }
-        }
-        drop(a);
-        self.histograms = hists;
+        let counters = std::mem::take(&mut self.counters);
+        self.counters = merge_sorted(counters, &other.counters, |a, b| *a += b);
+        let histograms = std::mem::take(&mut self.histograms);
+        self.histograms = merge_sorted(histograms, &other.histograms, |a, b| a.merge(b));
     }
 }
 
@@ -255,6 +208,40 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn merged_snapshots_equal_one_registry_that_recorded_everything() {
+        // Part 0 draws from the first six names and part 1 from the last
+        // six, so some names are shared and some belong to one part; part 2
+        // records nothing.
+        const NAMES: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        for round in 0..64u128 {
+            let mut draw = (0..).map(|i| crate::recorder::lookup_hash(round, i));
+            let mut next = || draw.next().unwrap();
+            let parts = [Registry::new(), Registry::new(), Registry::new()];
+            let all = Registry::new();
+            for _ in 0..1 + next() % 300 {
+                let p = (next() % 2) as usize;
+                let name = NAMES[2 * p + (next() % 6) as usize];
+                // Log-uniform values: the linear buckets below 16 and the log
+                // buckets up to the top of `u64` all get samples.
+                let v = next() >> (next() % 64);
+                for r in [&parts[p], &all] {
+                    r.add(r.counter(name), v % 1000);
+                    r.record(r.histogram(name), v);
+                }
+            }
+            let want = all.snapshot();
+            let mut merged = parts[0].snapshot();
+            merged.merge(&parts[1].snapshot());
+            merged.merge(&parts[2].snapshot());
+            assert_eq!(merged, want, "round {round}");
+            let mut into_empty = parts[2].snapshot();
+            into_empty.merge(&parts[1].snapshot());
+            into_empty.merge(&parts[0].snapshot());
+            assert_eq!(into_empty, want, "round {round}, reversed");
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! dynamics as a storm hits, not run totals.
 //!
 //! Deltas only *read* snapshots the caller already took, so a series cannot
-//! perturb a simulation. The simulator cuts its series from the snapshots
-//! it takes at the metrics-window boundaries (`harness::runner`); the UDP
+//! perturb a simulation. The simulator cuts its series ([`TsWindow::series`])
+//! from the snapshots it takes at the metrics-window boundaries
+//! (`harness::runner`), and its report's per-window and whole-run traffic
+//! figures are read from the same windows (`harness::metrics`); the UDP
 //! binding keeps no series and serves its registry as a whole.
 
 use crate::json::JsonWriter;
@@ -63,6 +65,45 @@ impl TsWindow {
             counters,
             histograms,
         }
+    }
+
+    /// Cuts a run's series from `snaps`, taken at the window boundaries
+    /// `first_us + k·interval_us`, and `last`, taken at `end_us`: the window
+    /// `[0, first_us)` first, then one window per boundary, the last one
+    /// ending at `end_us`. Without any boundary snapshot the series is the
+    /// single window `[0, end_us)`.
+    pub fn series(
+        first_us: u64,
+        interval_us: u64,
+        end_us: u64,
+        snaps: &[Snapshot],
+        last: &Snapshot,
+    ) -> Vec<TsWindow> {
+        let empty = Snapshot::default();
+        let mut prev = (0, &empty);
+        let mut series = Vec::with_capacity(snaps.len() + 1);
+        for (k, snap) in snaps.iter().enumerate() {
+            let t = first_us + k as u64 * interval_us;
+            series.push(TsWindow::between(prev.0, t, prev.1, snap));
+            prev = (t, snap);
+        }
+        series.push(TsWindow::between(prev.0, end_us, prev.1, last));
+        series
+    }
+
+    /// A counter's delta over the window by name (0 if it did not move).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .map_or(0, |i| self.counters[i].1)
+    }
+
+    /// A histogram's `(count, sum)` delta over the window by name (zeros if
+    /// it recorded nothing).
+    pub fn histogram(&self, name: &str) -> (u64, u64) {
+        self.histograms
+            .binary_search_by(|(n, _, _)| n.as_str().cmp(name))
+            .map_or((0, 0), |i| (self.histograms[i].1, self.histograms[i].2))
     }
 }
 
@@ -192,6 +233,34 @@ mod tests {
         r.add(r.counter("a-late"), 9);
         let w = TsWindow::between(10, 20, &s, &r.snapshot());
         assert_eq!(w.counters, vec![("a-late".to_string(), 9)]);
+    }
+
+    #[test]
+    fn series_cuts_the_warm_up_then_one_window_per_boundary() {
+        let r = Registry::new();
+        let c = r.counter("c");
+        let h = r.histogram("h");
+        r.inc(c); // during the warm-up [0, 100)
+        let s100 = r.snapshot();
+        r.add(c, 2);
+        r.record(h, 7);
+        r.record(h, 9);
+        let s110 = r.snapshot();
+        r.add(c, 4);
+        let series = TsWindow::series(100, 10, 115, &[s100, s110], &r.snapshot());
+        let spans: Vec<_> = series.iter().map(|w| (w.start_us, w.end_us)).collect();
+        assert_eq!(spans, vec![(0, 100), (100, 110), (110, 115)]);
+        let counts: Vec<_> = series.iter().map(|w| w.counter("c")).collect();
+        assert_eq!(counts, vec![1, 2, 4]);
+        assert_eq!(series[1].histogram("h"), (2, 16));
+        assert_eq!(series[2].histogram("h"), (0, 0));
+        assert_eq!(series[2].counter("absent"), 0);
+        // No boundary reached: one window over the whole run.
+        let whole = TsWindow::series(100, 10, 50, &[], &r.snapshot());
+        assert_eq!(
+            (whole.len(), whole[0].end_us, whole[0].counter("c")),
+            (1, 50, 7)
+        );
     }
 
     #[test]

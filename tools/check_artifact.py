@@ -16,16 +16,20 @@ and an armed RTO on every forward). A run's lookup-outcome metrics must
 count each delivered lookup once: the `lookup.latency_us` and
 `lookup.hops` histogram counts equal `report.delivered`, the
 `lookup.rdp_milli` count is at most that, and the `lookup.slow` counter
-equals `report.slow_deliveries`. With --timeseries, also checks the
-`mspastry-ts/1` JSONL written by `--timeseries`: contiguous windows from
-0, the first the warm-up and the rest lining up with `report.windows`,
-delta counters strictly positive, and histogram deltas carrying both
-count and sum. If the run artifact has a `prof` member (from
-`--profile`), its internal invariants are checked too. Exits non-zero
-on any violation.
+equals `report.slow_deliveries`. Every histogram in a run's `diag`, and
+in each sweep point's merged `diag`, must have ascending buckets summing
+to its count, min <= p50 <= p90 <= p99 <= max, and percentiles equal to
+the nearest-rank values recomputed from its buckets. With --timeseries,
+also checks the `mspastry-ts/1` JSONL written by `--timeseries`:
+contiguous windows from 0, the first the warm-up and the rest lining up
+with `report.windows`, delta counters strictly positive, and histogram
+deltas carrying both count and sum. If the run artifact has a `prof`
+member (from `--profile`), its internal invariants are checked too.
+Exits non-zero on any violation.
 """
 
 import json
+import math
 import sys
 from collections import defaultdict
 
@@ -33,6 +37,49 @@ from collections import defaultdict
 def fail(msg):
     print(f"check_artifact: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+PERCENTILES = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
+
+
+def nearest_rank(h, q):
+    """The `q`-quantile of a histogram's buckets: the lower bound of the
+    bucket holding sample max(1, ceil(q*count)), clamped to [min, max]."""
+    rank = max(1, math.ceil(q * h["count"]))
+    seen = 0
+    for lb, c in h["buckets"]:
+        seen += c
+        if seen >= rank:
+            return min(max(lb, h["min"]), h["max"])
+    return h["max"]
+
+
+def check_histograms(where, hists):
+    """Every histogram's buckets ascend by lower bound and sum to its count,
+    min <= p50 <= p90 <= p99 <= max, and each percentile is the nearest-rank
+    value recomputed from the buckets."""
+    for name, h in hists.items():
+        lbs = [lb for lb, _ in h["buckets"]]
+        if any(b <= a for a, b in zip(lbs, lbs[1:])):
+            fail(f"{where}: histogram {name!r} buckets do not ascend")
+        if h["count"] != sum(c for _, c in h["buckets"]):
+            fail(f"{where}: histogram {name!r} bucket counts do not sum to "
+                 f"count {h['count']}")
+        order = ["min"] + [p for p, _ in PERCENTILES] + ["max"]
+        if h["count"] == 0:
+            if any(h[k] is not None for k in order):
+                fail(f"{where}: empty histogram {name!r} has a min, max or "
+                     "percentile")
+            continue
+        values = [h[k] for k in order]
+        if any(b < a for a, b in zip(values, values[1:])):
+            fail(f"{where}: histogram {name!r} violates min <= p50 <= p90 "
+                 f"<= p99 <= max: {values}")
+        for p, q in PERCENTILES:
+            want = nearest_rank(h, q)
+            if h[p] != want:
+                fail(f"{where}: histogram {name!r} {p} is {h[p]}, its "
+                     f"buckets give {want}")
 
 
 def check_sweep(path, doc):
@@ -84,6 +131,7 @@ def check_sweep(path, doc):
         diag = p["diag"]
         if "counters" not in diag or "histograms" not in diag:
             fail(f"point {p['label']!r}: diag snapshot missing counters/histograms")
+        check_histograms(f"point {p['label']!r} diag", diag["histograms"])
     print(f"check_artifact: {path}: schema ok, scenario={doc['scenario']!r}, "
           f"{len(points)} points x {n_seeds} seeds, "
           f"{len(names)} metrics/point")
@@ -137,9 +185,7 @@ def check_run(path):
         if sent is None or sent < n:
             fail(f"report.fine_counts[{kind!r}] = {n} but diag counter "
                  f"'sent.{kind}' is {sent}")
-    h = hists["lookup.latency_us"]
-    if h["count"] != sum(c for _, c in h["buckets"]):
-        fail("histogram bucket counts do not sum to count")
+    check_histograms("diag", hists)
     if "prof" in doc:
         check_prof(doc["prof"])
     print(f"check_artifact: {path}: schema ok, issued={report['issued']}, "
